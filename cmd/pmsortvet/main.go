@@ -2,18 +2,12 @@
 // multichecker enforcing the contracts the compiler cannot see —
 // payload ownership after Send (sendfreeze), wire registration
 // coverage (wirereg), message-tag namespaces (tagrange), zero-cost
-// tracing call sites (obscost) — plus field-alignment and lock-copy
-// discipline. See DESIGN.md §14.
+// tracing call sites (obscost). See DESIGN.md §14.
 //
 // Usage:
 //
 //	go run ./cmd/pmsortvet ./...
 //	go run ./cmd/pmsortvet -only tagrange ./internal/coll
-//
-// The identical driver also builds from the nested tools module
-// (tools/pmsortvet), which is where the golang.org/x/tools dependency
-// will live if the stand-in framework is ever swapped for upstream —
-// keeping the root module dependency-free either way.
 package main
 
 import (

@@ -9,17 +9,13 @@
 //	tracesort -p 4 -n 10000 -levels 2                  # native, trace.json + report on stdout
 //	tracesort -backend sim -p 64 -o sim.json           # virtual-time trace of 64 simulated PEs
 //	tracesort -backend tcp -p 4 -o tcp.json            # one process per rank, merged at rank 0
-//	tracesort -events -p 16 -n 100 -summary            # legacy: raw simulator message trace
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
-	"pmsort"
 	"pmsort/internal/expt"
 )
 
@@ -34,67 +30,11 @@ func main() {
 		backend = flag.String("backend", "native", "sim|native|tcp")
 		out     = flag.String("o", "trace.json", "Chrome trace JSON output path ('' = none)")
 		report  = flag.String("report", "-", "plain-text report path ('-' = stdout, '' = none)")
-		events  = flag.Bool("events", false, "dump the simulator's raw message/event trace instead (sim only)")
-		summary = flag.Bool("summary", false, "with -events: print per-kind event counts only")
 	)
 	flag.Parse()
 
-	if *events {
-		eventTrace(*p, *n, *levels, *out, *summary)
-		return
-	}
-
 	spec := expt.Spec{Algo: expt.AMS, P: *p, PerPE: *n, Levels: *levels, Seed: 7, Keyed: true}
 	if err := expt.TraceRun(spec, *backend, *out, *report, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "tracesort:", err)
-		os.Exit(1)
-	}
-}
-
-// eventTrace is the original sim-only mode: record every send, receive,
-// and PE.Mark with its virtual timestamp and dump the raw event list.
-func eventTrace(p, n, levels int, out string, summary bool) {
-	cl := pmsort.NewCustom(p, pmsort.DefaultTopology(), pmsort.DefaultCost())
-	cl.EnableTracing()
-	cl.Run(func(pe *pmsort.PE) {
-		rng := rand.New(rand.NewSource(int64(pe.Rank()) + 1))
-		data := make([]uint64, n)
-		for i := range data {
-			data[i] = rng.Uint64()
-		}
-		pe.Mark("sort start")
-		_, _ = pmsort.AMSSort(pmsort.World(pe), data,
-			func(a, b uint64) bool { return a < b },
-			pmsort.Config{Levels: levels, Seed: 7})
-		pe.Mark("sort done")
-	})
-
-	if summary {
-		counts := map[string]int{}
-		var words int64
-		for _, ev := range cl.Trace() {
-			counts[ev.Kind.String()]++
-			if ev.Kind == pmsort.EvSend {
-				words += ev.Words
-			}
-		}
-		fmt.Printf("p=%d n/p=%d levels=%d: %d sends (%d words), %d recvs, %d marks\n",
-			p, n, levels, counts["send"], words, counts["recv"], counts["mark"])
-		return
-	}
-
-	w := bufio.NewWriter(os.Stdout)
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracesort:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
-	}
-	defer w.Flush()
-	if err := cl.WriteTrace(w); err != nil {
 		fmt.Fprintln(os.Stderr, "tracesort:", err)
 		os.Exit(1)
 	}

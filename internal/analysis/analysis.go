@@ -4,7 +4,7 @@
 // module proxy access, so the x/tools dependency is gated behind this
 // package: Analyzer/Pass/Diagnostic mirror the upstream API shape
 // closely enough that swapping to the real framework is a mechanical
-// import change confined to this directory and the tools module.
+// import change confined to this directory.
 //
 // Deviations from upstream, all deliberate:
 //

@@ -17,7 +17,7 @@ import (
 // Load discovers, parses, and type-checks every package of the module
 // rooted at (or above) dir, resolving standard-library imports from
 // GOROOT source. Nested modules (a subdirectory with its own go.mod,
-// like tools/) and testdata trees are skipped; _test.go files are not
+// like bench/) and testdata trees are skipped; _test.go files are not
 // loaded. The returned Program holds every module package — use
 // Match/Run to restrict analysis to a pattern subset.
 func Load(dir string) (*Program, error) {

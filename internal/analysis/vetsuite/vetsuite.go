@@ -1,7 +1,6 @@
-// Package vetsuite assembles the pmsortvet multichecker: the four
-// invariant analyzers (sendfreeze, wirereg, tagrange, obscost) plus
-// the standard-discipline checks (fieldalign, lockcopy), and the
-// command-line driver shared by cmd/pmsortvet and tools/pmsortvet.
+// Package vetsuite assembles the pmsortvet multichecker — the four
+// invariant analyzers (sendfreeze, wirereg, tagrange, obscost) — and
+// the command-line driver behind cmd/pmsortvet.
 package vetsuite
 
 import (
@@ -11,8 +10,6 @@ import (
 	"strings"
 
 	"pmsort/internal/analysis"
-	"pmsort/internal/analysis/fieldalign"
-	"pmsort/internal/analysis/lockcopy"
 	"pmsort/internal/analysis/obscost"
 	"pmsort/internal/analysis/sendfreeze"
 	"pmsort/internal/analysis/tagrange"
@@ -26,8 +23,6 @@ func Suite() []*analysis.Analyzer {
 		wirereg.Analyzer,
 		tagrange.Analyzer,
 		obscost.Analyzer,
-		fieldalign.Analyzer,
-		lockcopy.Analyzer,
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package chaos is a deterministic, seeded fault-and-contract-checking
-// middleware for comm.Communicator: Wrap(c, cfg) composes over any
-// backend and returns a communicator that behaves identically at the
-// algorithm level while adversarially perturbing and auditing every
-// message underneath. It is the test-time counterpart of the robustness
+// middleware for comm.Communicator: Wrap(c, cfg) interposes on the
+// endpoint of any backend and returns a communicator that behaves
+// identically at the algorithm level while adversarially perturbing and
+// auditing every message underneath. It is the test-time counterpart of the robustness
 // argument in "Robust Massively Parallel Sorting" (Axtmann & Sanders,
 // 2016): instead of hoping that hand-picked configurations expose
 // contract violations, the middleware *manufactures* the conditions
@@ -41,10 +41,10 @@
 // recorded in the shared Config.Audit, so a torture harness can both
 // fail fast interactively and collect everything in one sweep.
 //
-// Wrapping composes with splitting: communicators returned by
-// SplitEqual/SplitStarts/SplitModulo/Subset are wrapped again around
-// the inner split result and share the PE's chaos state, so a sort that
-// recurses into subgroups stays under chaos all the way down.
+// Wrapping composes with splitting: the middleware wraps the PE's
+// endpoint, which every communicator split from the wrapped one shares,
+// so a sort that recurses into subgroups stays under chaos all the way
+// down.
 package chaos
 
 import (
@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"pmsort/internal/comm"
-	"pmsort/internal/obs"
 	"pmsort/internal/prng"
 	"pmsort/internal/wire"
 )
@@ -253,28 +252,27 @@ type Config struct {
 	Audit *Audit
 }
 
-// state is the per-PE chaos state, shared by a wrapped communicator and
-// everything split from it (splits stay on the PE's goroutine).
-type state struct {
+// endpoint is the chaos-wrapped endpoint of one PE: the wrapped endpoint
+// (Cost passes through — chaos perturbs real schedules, never modeled
+// time) plus the per-PE chaos state. Every communicator of the PE
+// shares it; all of them stay on the PE's goroutine.
+type endpoint struct {
+	comm.Endpoint
 	cfg Config
 	pe  int // world rank at Wrap time
 	rng *prng.Rng
 }
 
-// Comm is a chaos-wrapped communicator.
-type Comm struct {
-	inner comm.Communicator
-	st    *state
-}
+// Unwrap keeps the middleware transparent to comm.Capability lookups,
+// so tracing sees through it.
+func (s *endpoint) Unwrap() comm.Endpoint { return s.Endpoint }
 
-var _ comm.Communicator = (*Comm)(nil)
-
-// Wrap returns c wrapped in the chaos middleware. Call it once per PE
-// on the communicator the PE program starts from (typically the world
-// communicator); split communicators derived from the wrapper are
-// wrapped automatically. The injected schedule is deterministic in
-// (cfg.Seed, world rank, operation order).
-func Wrap(c comm.Communicator, cfg Config) *Comm {
+// Wrap returns c with its endpoint wrapped in the chaos middleware. Call
+// it once per PE on the communicator the PE program starts from
+// (typically the world communicator); communicators split from the
+// result share the wrapped endpoint. The injected schedule is
+// deterministic in (cfg.Seed, world rank, operation order).
+func Wrap(c comm.Communicator, cfg Config) comm.Communicator {
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 50 * time.Microsecond
 	}
@@ -282,19 +280,16 @@ func Wrap(c comm.Communicator, cfg Config) *Comm {
 		cfg.WordsSlack = 64
 	}
 	pe := c.GlobalRank(c.Rank())
-	st := &state{
-		cfg: cfg,
-		pe:  pe,
-		rng: prng.New(cfg.Seed).Fork(uint64(pe)*0x9e3779b97f4a7c15 + 0x6d),
-	}
-	return &Comm{inner: c, st: st}
+	return c.WithEndpoint(&endpoint{
+		Endpoint: c.Endpoint(),
+		cfg:      cfg,
+		pe:       pe,
+		rng:      prng.New(cfg.Seed).Fork(uint64(pe)*0x9e3779b97f4a7c15 + 0x6d),
+	})
 }
 
-// Inner returns the wrapped communicator.
-func (c *Comm) Inner() comm.Communicator { return c.inner }
-
 // violate reports a violation through the configured sinks.
-func (s *state) violate(v Violation) {
+func (s *endpoint) violate(v Violation) {
 	s.cfg.Audit.record(v)
 	if s.cfg.OnViolation != nil {
 		s.cfg.OnViolation(v)
@@ -305,7 +300,7 @@ func (s *state) violate(v Violation) {
 
 // shake injects one deterministic schedule perturbation: nothing,
 // a Gosched, or a bounded sleep, chosen by the PE's seeded stream.
-func (s *state) shake() {
+func (s *endpoint) shake() {
 	if !s.cfg.Shake {
 		return
 	}
@@ -350,21 +345,20 @@ func checksum(b []byte) uint64 {
 
 // Send perturbs the schedule, serializes the payload when forced
 // serialization is on, audits the declared words, and forwards to the
-// wrapped communicator. A payload that cannot be encoded is reported
+// wrapped endpoint. A payload that cannot be encoded is reported
 // (Unregistered or Codec) and then forwarded unserialized so that a
 // collecting harness can keep running after the diagnosis.
-func (c *Comm) Send(to, tag int, payload any, words int64) {
-	s := c.st
+func (s *endpoint) Send(to, tag int, payload any, words int64) {
 	s.shake()
 	if !s.cfg.ForceSerialize {
-		c.inner.Send(to, tag, payload, words)
+		s.Endpoint.Send(to, tag, payload, words)
 		return
 	}
 	enc, err := encodePayload(payload)
 	if err != nil {
 		s.violate(Violation{Kind: Unregistered, PE: s.pe, Tag: tag,
 			Detail: fmt.Sprintf("payload %T cannot be serialized: %v", payload, err)})
-		c.inner.Send(to, tag, payload, words)
+		s.Endpoint.Send(to, tag, payload, words)
 		return
 	}
 	s.cfg.Audit.noteMessage(len(enc), words, fmt.Sprintf("%T (tag %#x, %d B, %d words)", payload, tag, len(enc), words))
@@ -376,17 +370,16 @@ func (c *Comm) Send(to, tag int, payload any, words int64) {
 		}
 	}
 	//nolint:wirereg // envelope is never wire-encoded: it crosses the in-process backends by reference
-	c.inner.Send(to, tag, &envelope{bytes: enc, sum: checksum(enc), orig: payload, tag: tag, from: s.pe}, words)
+	s.Endpoint.Send(to, tag, &envelope{bytes: enc, sum: checksum(enc), orig: payload, tag: tag, from: s.pe}, words)
 }
 
 // Recv perturbs the schedule, receives, and — for force-serialized
 // envelopes — verifies the sender did not mutate the payload after Send
 // and hands the receiver its own decoded copy. A round-trip failure is
 // reported and the sender's original payload is delivered instead.
-func (c *Comm) Recv(from, tag int) (any, int64) {
-	s := c.st
+func (s *endpoint) Recv(from, tag int) (any, int64) {
 	s.shake()
-	payload, words := c.inner.Recv(from, tag)
+	payload, words := s.Endpoint.Recv(from, tag)
 	env, ok := payload.(*envelope)
 	if !ok {
 		return payload, words
@@ -411,43 +404,3 @@ func (c *Comm) Recv(from, tag int) (any, int64) {
 	}
 	return decoded, words
 }
-
-// Size returns the number of members.
-func (c *Comm) Size() int { return c.inner.Size() }
-
-// Rank returns this PE's group-relative rank.
-func (c *Comm) Rank() int { return c.inner.Rank() }
-
-// GlobalRank translates a group-relative rank to a backend-global rank.
-func (c *Comm) GlobalRank(r int) int { return c.inner.GlobalRank(r) }
-
-// SplitEqual splits the wrapped communicator and re-wraps the result.
-func (c *Comm) SplitEqual(groups int) (comm.Communicator, int) {
-	sub, g := c.inner.SplitEqual(groups)
-	return &Comm{inner: sub, st: c.st}, g
-}
-
-// SplitStarts splits the wrapped communicator and re-wraps the result.
-func (c *Comm) SplitStarts(starts []int) (comm.Communicator, int) {
-	sub, g := c.inner.SplitStarts(starts)
-	return &Comm{inner: sub, st: c.st}, g
-}
-
-// SplitModulo splits the wrapped communicator and re-wraps the result.
-func (c *Comm) SplitModulo(m int) (comm.Communicator, int) {
-	sub, g := c.inner.SplitModulo(m)
-	return &Comm{inner: sub, st: c.st}, g
-}
-
-// Subset splits the wrapped communicator and re-wraps the result.
-func (c *Comm) Subset(lo, hi int) comm.Communicator {
-	return &Comm{inner: c.inner.Subset(lo, hi), st: c.st}
-}
-
-// Cost passes through to the wrapped backend: chaos perturbs real
-// schedules, never modeled time.
-func (c *Comm) Cost() comm.Cost { return c.inner.Cost() }
-
-// ObsRecorder forwards to the wrapped backend's recorder, so tracing
-// sees through the middleware.
-func (c *Comm) ObsRecorder() *obs.Recorder { return obs.From(c.inner) }

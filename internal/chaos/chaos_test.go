@@ -251,8 +251,8 @@ func TestWrapComposesWithSplits(t *testing.T) {
 	native.New(4).Run(func(c comm.Communicator) {
 		cc := Wrap(c, cfg)
 		sub, g := cc.SplitEqual(2)
-		if _, ok := sub.(*Comm); !ok {
-			t.Errorf("SplitEqual unwrapped the middleware: %T", sub)
+		if _, ok := sub.Endpoint().(*endpoint); !ok {
+			t.Errorf("SplitEqual unwrapped the middleware: %T", sub.Endpoint())
 		}
 		partner := 1 - sub.Rank()
 		sub.Send(partner, 9, []uint64{uint64(g)}, 1)
@@ -261,8 +261,8 @@ func TestWrapComposesWithSplits(t *testing.T) {
 			t.Errorf("group %d: got %v", g, got)
 		}
 		mod, _ := cc.SplitModulo(2)
-		if _, ok := mod.(*Comm); !ok {
-			t.Errorf("SplitModulo unwrapped the middleware: %T", mod)
+		if _, ok := mod.Endpoint().(*endpoint); !ok {
+			t.Errorf("SplitModulo unwrapped the middleware: %T", mod.Endpoint())
 		}
 		if sset := mod.Subset(0, mod.Size()); sset.Size() != mod.Size() {
 			t.Errorf("Subset size %d != %d", sset.Size(), mod.Size())

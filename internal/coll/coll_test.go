@@ -13,7 +13,7 @@ var testSizes = []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 33}
 
 func addI64(a, b int64) int64 { return a + b }
 
-func runAll(t *testing.T, sizes []int, fn func(t *testing.T, c *sim.Comm)) {
+func runAll(t *testing.T, sizes []int, fn func(t *testing.T, c comm.Communicator)) {
 	t.Helper()
 	for _, p := range sizes {
 		m := sim.NewDefault(p)
@@ -24,7 +24,7 @@ func runAll(t *testing.T, sizes []int, fn func(t *testing.T, c *sim.Comm)) {
 }
 
 func TestBcast(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		for root := 0; root < c.Size(); root += 1 + c.Size()/3 {
 			got := Bcast(c, root, 1000+root, 1)
 			if got != 1000+root {
@@ -35,7 +35,7 @@ func TestBcast(t *testing.T) {
 }
 
 func TestReduce(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		p := c.Size()
 		for root := 0; root < p; root += 1 + p/3 {
 			val, ok := Reduce(c, root, int64(c.Rank()+1), 1, addI64)
@@ -51,7 +51,7 @@ func TestReduce(t *testing.T) {
 }
 
 func TestAllreduce(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		p := c.Size()
 		got := Allreduce(c, int64(c.Rank()+1), 1, addI64)
 		if want := int64(p) * int64(p+1) / 2; got != want {
@@ -68,7 +68,7 @@ func TestAllreduceVector(t *testing.T) {
 		}
 		return out
 	}
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		p := c.Size()
 		vec := []int64{int64(c.Rank()), 1, int64(2 * c.Rank())}
 		got := Allreduce(c, vec, 3, addVec)
@@ -80,7 +80,7 @@ func TestAllreduceVector(t *testing.T) {
 }
 
 func TestExScan(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		r := int64(c.Rank())
 		prefix, ok := ExScan(c, r+1, 1, addI64)
 		if c.Rank() == 0 {
@@ -97,7 +97,7 @@ func TestExScan(t *testing.T) {
 }
 
 func TestScanTotal(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		p := int64(c.Size())
 		prefix, total, ok := ScanTotal(c, int64(c.Rank()+1), 1, addI64)
 		if total != p*(p+1)/2 {
@@ -111,7 +111,7 @@ func TestScanTotal(t *testing.T) {
 }
 
 func TestGathervAllgatherv(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		local := make([]int, c.Rank()%3+1)
 		for i := range local {
 			local[i] = 100*c.Rank() + i
@@ -141,7 +141,7 @@ func TestGathervAllgatherv(t *testing.T) {
 }
 
 func TestAllgatherMerge(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 7))
 		local := make([]int, 5+c.Rank()%4)
 		for i := range local {
@@ -164,7 +164,7 @@ func TestAllgatherMerge(t *testing.T) {
 }
 
 func TestAlltoallI64(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		p := c.Size()
 		v := make([]int64, p)
 		for i := range v {
@@ -180,7 +180,7 @@ func TestAlltoallI64(t *testing.T) {
 	})
 }
 
-func alltoallvCheck(t *testing.T, c *sim.Comm, impl func(comm.Communicator, [][]int) [][]int) {
+func alltoallvCheck(t *testing.T, c comm.Communicator, impl func(comm.Communicator, [][]int) [][]int) {
 	t.Helper()
 	p := c.Size()
 	out := make([][]int, p)
@@ -224,13 +224,13 @@ func alltoallvCheck(t *testing.T, c *sim.Comm, impl func(comm.Communicator, [][]
 }
 
 func TestAlltoallvDirect(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		alltoallvCheck(t, c, AlltoallvDirect[int])
 	})
 }
 
 func TestAlltoallv1Factor(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		alltoallvCheck(t, c, Alltoallv1Factor[int])
 	})
 }
@@ -273,15 +273,16 @@ func TestOneFactorSkipsEmpties(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	runAll(t, testSizes, func(t *testing.T, c *sim.Comm) {
+	runAll(t, testSizes, func(t *testing.T, c comm.Communicator) {
 		// Stagger the clocks, then barrier; everyone must leave at a time
 		// ≥ the max entry time.
+		pe := c.Endpoint().(*sim.PE)
 		entry := int64(1000 * (c.Rank() + 1))
-		c.PE().AdvanceTo(entry)
+		pe.AdvanceTo(entry)
 		Barrier(c)
-		if c.PE().Now() < int64(1000*c.Size()) {
+		if pe.Now() < int64(1000*c.Size()) {
 			t.Errorf("p=%d rank=%d: left barrier at %d before max entry %d",
-				c.Size(), c.Rank(), c.PE().Now(), 1000*c.Size())
+				c.Size(), c.Rank(), pe.Now(), 1000*c.Size())
 		}
 	})
 }

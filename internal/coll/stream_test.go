@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pmsort/internal/comm"
 	"pmsort/internal/prng"
 	"pmsort/internal/sim"
 )
@@ -97,5 +96,3 @@ func cloneOut(out [][]uint64) [][]uint64 {
 	}
 	return cp
 }
-
-var _ comm.Communicator = (*sim.Comm)(nil)

@@ -2,80 +2,42 @@ package comm
 
 // WithTagOffset returns a view of c that relabels every message tag by a
 // fixed offset: Send(to, tag, ...) becomes Send(to, tag+off, ...) on the
-// underlying communicator, and likewise for Recv. Communicators split
-// from the view stay offset.
+// underlying endpoint, and likewise for Recv. The view is the same group
+// over a wrapped endpoint, so communicators split from it stay offset
+// and stacked views add their offsets.
 //
 // The offset view is how one mesh runs many collective jobs at once: give
 // each job a disjoint tag block (an "epoch" — see internal/svc) and the
 // jobs' messages cannot be confused even though they cross the same
-// connections, because every backend matches messages by (sender, tag)
+// connections, because the mailbox matches messages by (sender, tag)
 // with FIFO order per pair. The algorithms' own tags all sit below
 // 1<<24, so offsets that are multiples of 1<<24 yield fully disjoint
 // namespaces.
 //
-// The view deliberately does not forward the observability Source hook
-// (obs.From on a view returns nil): span recording is bound to the
-// single goroutine running a rank's PE program, while offset views exist
-// precisely so several goroutines can run collectives on one rank
-// concurrently. Machine-level counters (transport frames, mailbox depth)
-// are recorded below the communicator and stay live.
+// The view deliberately hides the endpoint's optional capabilities
+// (Capability finds nothing behind it, so obs.From on a view returns
+// nil): span recording is bound to the single goroutine running a rank's
+// PE program, while offset views exist precisely so several goroutines
+// can run collectives on one rank concurrently. Machine-level counters
+// (transport frames, mailbox depth) are recorded below the communicator
+// and stay live.
 func WithTagOffset(c Communicator, off int) Communicator {
 	if off == 0 {
 		return c
 	}
-	if t, ok := c.(*tagOffsetComm); ok {
-		return &tagOffsetComm{inner: t.inner, off: t.off + off}
-	}
-	return &tagOffsetComm{inner: c, off: off}
+	return c.WithEndpoint(tagOffset{Endpoint: c.Endpoint(), off: off})
 }
 
-// TagOffsetOf returns the accumulated tag offset of a WithTagOffset view
-// (0 for any other communicator).
-func TagOffsetOf(c Communicator) int {
-	if t, ok := c.(*tagOffsetComm); ok {
-		return t.off
-	}
-	return 0
+// tagOffset relabels tags by a constant offset; Cost passes through.
+type tagOffset struct {
+	Endpoint
+	off int
 }
 
-// tagOffsetComm relabels tags by a constant offset and delegates
-// everything else.
-type tagOffsetComm struct {
-	inner Communicator
-	off   int
+func (t tagOffset) Send(to, tag int, payload any, words int64) {
+	t.Endpoint.Send(to, tag+t.off, payload, words)
 }
 
-var _ Communicator = (*tagOffsetComm)(nil)
-
-func (t *tagOffsetComm) Size() int            { return t.inner.Size() }
-func (t *tagOffsetComm) Rank() int            { return t.inner.Rank() }
-func (t *tagOffsetComm) GlobalRank(r int) int { return t.inner.GlobalRank(r) }
-
-func (t *tagOffsetComm) Send(to, tag int, payload any, words int64) {
-	t.inner.Send(to, tag+t.off, payload, words)
+func (t tagOffset) Recv(from, tag int) (any, int64) {
+	return t.Endpoint.Recv(from, tag+t.off)
 }
-
-func (t *tagOffsetComm) Recv(from, tag int) (any, int64) {
-	return t.inner.Recv(from, tag+t.off)
-}
-
-func (t *tagOffsetComm) SplitEqual(groups int) (Communicator, int) {
-	c, g := t.inner.SplitEqual(groups)
-	return &tagOffsetComm{inner: c, off: t.off}, g
-}
-
-func (t *tagOffsetComm) SplitStarts(starts []int) (Communicator, int) {
-	c, g := t.inner.SplitStarts(starts)
-	return &tagOffsetComm{inner: c, off: t.off}, g
-}
-
-func (t *tagOffsetComm) SplitModulo(m int) (Communicator, int) {
-	c, g := t.inner.SplitModulo(m)
-	return &tagOffsetComm{inner: c, off: t.off}, g
-}
-
-func (t *tagOffsetComm) Subset(lo, hi int) Communicator {
-	return &tagOffsetComm{inner: t.inner.Subset(lo, hi), off: t.off}
-}
-
-func (t *tagOffsetComm) Cost() Cost { return t.inner.Cost() }

@@ -87,10 +87,7 @@ func (s *Stats) addLevel(level int, ph Phase, ns int64) {
 }
 
 // Config tunes the sorters. Field order follows the documented
-// narrative (shape knobs, then hooks); one padding word per run is not
-// worth scrambling it, hence the fieldalign waiver.
-//
-//nolint:fieldalign
+// narrative (shape knobs, then hooks).
 type Config struct {
 	// Levels is the number of recursion levels k (≥1). 0 means 1.
 	Levels int

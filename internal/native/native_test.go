@@ -1,7 +1,9 @@
 package native
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"pmsort/internal/comm"
 )
@@ -21,7 +23,7 @@ func TestRing(t *testing.T) {
 		}
 	})
 	for i := 0; i < p; i++ {
-		if n := m.pes[i].mbox.pending(); n != 0 {
+		if n := m.mbox[i].Pending(); n != 0 {
 			t.Errorf("PE %d: %d undelivered messages after Run", i, n)
 		}
 	}
@@ -113,4 +115,28 @@ func TestRunPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// TestRunPanicUnwindsWaitingPeer: a PE that panics while a peer is
+// parked in Recv on it must not hang the machine — the peer unwinds and
+// Run re-panics with the first panic and its PE.
+func TestRunPanicUnwindsWaitingPeer(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		New(2).Run(func(c comm.Communicator) {
+			if c.Rank() == 1 {
+				panic("boom")
+			}
+			c.Recv(1, 7)
+		})
+	}()
+	select {
+	case r := <-done:
+		if s, _ := r.(string); !strings.Contains(s, "PE 1: boom") {
+			t.Fatalf("Run panicked with %v, want the first panic and its PE", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run hangs: rank 0 still waits for a message from the panicked rank 1")
+	}
 }

@@ -53,7 +53,7 @@ func TestTransportErrorUnwrapChain(t *testing.T) {
 	// unwrap chain, not just the message.
 	mb := newMailbox()
 	mb.fail(2, KindReset, root)
-	rte := recoverTransportError(func() { mb.take(0, 1) })
+	rte := recoverTransportError(func() { mb.Take(0, 1) })
 	if rte == nil {
 		t.Fatal("take after fail returned normally")
 	}
@@ -73,7 +73,7 @@ func TestRecvAfterAbort(t *testing.T) {
 	aborted := make(chan struct{})
 	err := LocalClusterOpts(2, 30*time.Second, nil,
 		func(m *Machine, rank int) error {
-			c := &Comm{m: m, ranks: m.world, me: m.rank}
+			c := m.World()
 			if rank == 0 {
 				m.Abort()
 				close(aborted)
@@ -112,7 +112,7 @@ func TestAbortDuringVectoredWrite(t *testing.T) {
 	aborted := make(chan struct{})
 	err := LocalClusterOpts(2, 30*time.Second, nil,
 		func(m *Machine, rank int) error {
-			c := &Comm{m: m, ranks: m.world, me: m.rank}
+			c := m.World()
 			if rank == 1 {
 				// Take one frame so rank 0's writer is demonstrably
 				// mid-stream, then die abruptly.
@@ -150,7 +150,7 @@ func TestDoubleAbortIdempotent(t *testing.T) {
 	aborted := make(chan struct{})
 	err := LocalClusterOpts(2, 30*time.Second, nil,
 		func(m *Machine, rank int) error {
-			c := &Comm{m: m, ranks: m.world, me: m.rank}
+			c := m.World()
 			if rank == 0 {
 				m.Abort()
 				m.Abort() // idempotent

@@ -106,7 +106,7 @@ func TestStallDetectionAndRecovery(t *testing.T) {
 			return opt
 		},
 		func(m *Machine, rank int) error {
-			c := &Comm{m: m, ranks: m.world, me: m.rank}
+			c := m.World()
 			if rank == 1 {
 				// The faulty rank: stop reading, wait for rank 0 to see
 				// the stall, then resume and send the recovery probe.
@@ -201,7 +201,7 @@ func TestWriteDeadlineStall(t *testing.T) {
 			return opt
 		},
 		func(m *Machine, rank int) error {
-			c := &Comm{m: m, ranks: m.world, me: m.rank}
+			c := m.World()
 			if rank == 1 {
 				gate.Hang()
 				close(hung)

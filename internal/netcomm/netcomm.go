@@ -15,9 +15,11 @@
 // (internal/wire), frames it with a length prefix, and streams it out
 // through a buffered writer that flushes when the queue momentarily
 // drains. A reader goroutine per peer decodes incoming frames into the
-// process's mailbox, where Recv matches them by (sender, tag) with FIFO
-// order per pair — the exact discipline of the native backend.
-// Self-sends short-circuit through the mailbox without serialization.
+// process's mailbox (the comm.Mailbox every backend shares, plus this
+// transport's failure state — mailbox.go), where Recv matches them by
+// (sender, tag) with FIFO order per pair. Self-sends short-circuit
+// through the mailbox without serialization. The Machine is the
+// comm.Endpoint of the world communicator and everything split from it.
 //
 // Concurrency: unlike the in-process backends, this backend's data path
 // is safe for concurrent use from several goroutines of the rank
@@ -244,10 +246,7 @@ func New(rank int, addrs []string, opt Options) (*Machine, error) {
 		hbStop:      make(chan struct{}),
 		hbDone:      make(chan struct{}),
 	}
-	m.world = make([]int, p)
-	for i := range m.world {
-		m.world[i] = i
-	}
+	m.world = comm.WorldRanks(p)
 	if opt.Obs {
 		// The recorder's clock shares its zero with the Stats clock: wall
 		// time since the run epoch (set by Run's alignment barrier).
@@ -260,7 +259,7 @@ func New(rank int, addrs []string, opt Options) (*Machine, error) {
 			bufWrites:   m.rec.Counter(obs.CtrNetBufWrites),
 		}
 		m.mbox.depthMax = m.rec.Counter(obs.CtrMboxDepthMax)
-		m.mbox.waitNS = m.rec.Counter(obs.CtrMboxWaitNS)
+		m.mbox.OnWait = m.rec.Counter(obs.CtrMboxWaitNS).Add
 	}
 	if p == 1 {
 		close(m.hbDone) // no peers, no heartbeat loop
@@ -538,12 +537,11 @@ func (m *Machine) P() int { return m.p }
 // Run executes fn as this rank's PE program, handing it the world
 // communicator, and returns the wall-clock time fn took on this rank.
 // All ranks must call Run collectively with the same program. A
-// transport failure or algorithm panic is returned as an error.
-// Run executes fn as this rank's PE program, handing it the world
-// communicator. The returned duration and the Stats clock share one
-// zero: the cluster-synchronized start, taken after an entry barrier —
-// the time this process spent waiting for its peers to enter Run is
-// excluded (it measures launch skew, not the program).
+// transport failure or algorithm panic is returned as an error. The
+// returned duration and the Stats clock share one zero: the
+// cluster-synchronized start, taken after an entry barrier — the time
+// this process spent waiting for its peers to enter Run is excluded (it
+// measures launch skew, not the program).
 func (m *Machine) Run(fn func(c comm.Communicator)) (d time.Duration, err error) {
 	start := time.Now()
 	defer func() {
@@ -560,7 +558,7 @@ func (m *Machine) Run(fn func(c comm.Communicator)) (d time.Duration, err error)
 			err = fmt.Errorf("netcomm: rank %d: %v", m.rank, r)
 		}
 	}()
-	world := &Comm{m: m, ranks: m.world, me: m.rank}
+	world := m.World()
 	// Align the wall-clock epochs across ranks before setting this
 	// rank's: each process entered Run at its own time, and without a
 	// common zero the maxima that TimedBarrier takes over per-rank
@@ -581,7 +579,37 @@ func (m *Machine) Run(fn func(c comm.Communicator)) (d time.Duration, err error)
 	return d, nil
 }
 
-// Recorder returns this rank's obs recorder (nil unless Options.Obs).
+// World returns the communicator of all ranks. The Machine is its
+// endpoint (comm.Endpoint) and that of everything split from it.
+func (m *Machine) World() comm.Communicator { return comm.NewGroup(m, m.world, m.rank) }
+
+// Send transmits the payload to the given rank. Self-sends move by
+// reference through the mailbox (native semantics); remote sends hand
+// the payload to the peer's writer goroutine, which serializes it — the
+// sender must treat it as transferred either way (the Communicator
+// ownership contract).
+func (m *Machine) Send(to, tag int, payload any, words int64) {
+	if to == m.rank {
+		m.mbox.put(to, tag, payload, words)
+		return
+	}
+	m.enqueue(to, tag, payload, words)
+}
+
+// Recv blocks until the message with the given tag from the given rank
+// arrives. It panics with a *TransportError when the mesh fails first.
+func (m *Machine) Recv(from, tag int) (any, int64) {
+	msg := m.mbox.Take(from, tag)
+	return msg.Payload, msg.Words
+}
+
+// Cost returns the wall-clock hook: annotations are free, Now reads
+// real elapsed time since this rank's Run started.
+func (m *Machine) Cost([]int) comm.Cost { return comm.WallClock{Epoch: m.epoch} }
+
+// Recorder returns this rank's obs recorder (nil unless Options.Obs) —
+// the obs.Source hook; every communicator of the rank shares it and so
+// stays traced.
 func (m *Machine) Recorder() *obs.Recorder { return m.rec }
 
 // tagEpoch is reserved for Run's epoch-alignment barrier. Tag reuse by
@@ -590,7 +618,7 @@ func (m *Machine) Recorder() *obs.Recorder { return m.rec }
 const tagEpoch = 0x6b0001
 
 // epochBarrier is a dissemination barrier over the world communicator.
-func epochBarrier(c *Comm) {
+func epochBarrier(c comm.Communicator) {
 	p, r := c.Size(), c.Rank()
 	for d := 1; d < p; d <<= 1 {
 		c.Send((r+d)%p, tagEpoch, nil, 1)
@@ -687,12 +715,9 @@ func (h MeshHealth) Healthy() bool {
 // Health snapshots this endpoint's liveness state.
 func (m *Machine) Health() MeshHealth {
 	var h MeshHealth
-	if te := m.mbox.fatal(); te != nil {
-		h.Failed = te
-	}
-	stalled := make(map[int]bool)
-	for _, r := range m.mbox.stalledPeers() {
-		stalled[r] = true
+	fatal, stalled := m.mbox.health()
+	if fatal != nil {
+		h.Failed = fatal
 	}
 	now := m.mono()
 	h.Peers = make([]PeerHealth, 0, m.p-1)
@@ -709,12 +734,13 @@ func (m *Machine) Health() MeshHealth {
 	return h
 }
 
-// RetireTags retires the tag namespaces covering [lo, hi): queued and
-// future messages there are dropped and receives fail typed (see
+// RetireTagRange retires the tag namespaces covering [lo, hi): queued
+// and future messages there are dropped and receives fail typed (see
 // mailbox.retire). The service layer calls it with an aborted job's tag
-// block so the job's goroutines unwind and its late traffic is
-// reclaimed instead of leaking in the mailbox forever.
-func (m *Machine) RetireTags(lo, hi int) { m.mbox.retire(lo, hi) }
+// block — the teardown half of its mesh-wide job abort — so the job's
+// goroutines unwind and its late traffic is reclaimed instead of
+// leaking in the mailbox forever.
+func (m *Machine) RetireTagRange(lo, hi int) { m.mbox.retire(lo, hi) }
 
 // enqueue hands an outbound message to the destination peer's writer.
 func (m *Machine) enqueue(to, tag int, payload any, words int64) {
@@ -957,7 +983,7 @@ func (m *Machine) readLoop(pr *peer) {
 			}
 			continue
 		}
-		m.mbox.put(pr.rank, int(tag), envelope{payload: payload, words: int64(words)})
+		m.mbox.put(pr.rank, int(tag), payload, int64(words))
 		if aliased {
 			body = nil // handed off with the payload; next frame gets a fresh buffer
 		}

@@ -94,7 +94,7 @@ func TestTCPPointToPoint(t *testing.T) {
 		if err != nil {
 			t.Errorf("rank %d: %v", rank, err)
 		}
-		if n := m.mbox.pending(); n != 0 {
+		if n := m.mbox.Pending(); n != 0 {
 			t.Errorf("rank %d: %d messages left in the mailbox", rank, n)
 		}
 	})

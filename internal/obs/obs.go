@@ -26,16 +26,18 @@
 // allocation test pin this (obs_test.go), and the acceptance criterion
 // is that BenchmarkNativeAMS is unchanged with tracing off.
 //
-// Recorders reach the algorithms through the communicator: backends
-// with tracing enabled implement the Source interface, and From(c)
-// type-asserts it — no change to comm.Communicator, and communicators
-// split from a traced world stay traced (each backend's split
-// communicators share the PE's machine state). See DESIGN.md §12.
+// Recorders reach the algorithms through the communicator: endpoints of
+// backends with tracing enabled implement the Source interface, and
+// From(c) looks it up as an optional endpoint capability — no change to
+// comm.Communicator, and communicators split from a traced world stay
+// traced (they share the PE's endpoint). See DESIGN.md §12.
 package obs
 
 import (
 	"sync"
 	"sync/atomic"
+
+	"pmsort/internal/comm"
 )
 
 // Span names emitted by the sorting stack (the span taxonomy of
@@ -100,22 +102,20 @@ const (
 	CtrMboxWaitNS = "mbox.wait.ns"
 )
 
-// Source is the optional interface a communicator implements when its
-// backend has tracing enabled. From type-asserts it; backends without
-// tracing (or with it disabled) simply do not implement it or return
-// nil.
+// Source is the optional capability a backend's endpoint implements to
+// hand out its PE's recorder; it returns nil while tracing is off.
 type Source interface {
-	ObsRecorder() *Recorder
+	Recorder() *Recorder
 }
 
-// From extracts the recorder behind a communicator (or any other
-// value). It returns nil — the disabled recorder — when the value does
-// not implement Source or tracing is off. Call it once per algorithm
-// entry and keep the result; the nil check at each use is the whole
-// disabled-path cost.
-func From(c any) *Recorder {
-	if s, ok := c.(Source); ok {
-		return s.ObsRecorder()
+// From extracts the recorder behind a communicator. It returns nil —
+// the disabled recorder — when the endpoint is not a Source (or is
+// hidden behind a comm.WithTagOffset view) or tracing is off. Call it
+// once per algorithm entry and keep the result; the nil check at each
+// use is the whole disabled-path cost.
+func From(c comm.Communicator) *Recorder {
+	if s, ok := comm.Capability[Source](c); ok {
+		return s.Recorder()
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"pmsort/internal/comm"
 )
 
 // tick returns a deterministic clock advancing by step per call.
@@ -118,7 +120,14 @@ func TestCountersAndReset(t *testing.T) {
 	}
 }
 
-var anyVal any = struct{}{}
+// untraced is a communicator whose endpoint is not a Source.
+var untraced = comm.NewGroup(plainEndpoint{}, comm.WorldRanks(1), 0)
+
+type plainEndpoint struct{}
+
+func (plainEndpoint) Send(int, int, any, int64)  {}
+func (plainEndpoint) Recv(int, int) (any, int64) { return nil, 0 }
+func (plainEndpoint) Cost([]int) comm.Cost       { return comm.WallClock{} }
 
 func TestNilRecorderSafeAndFrom(t *testing.T) {
 	var r *Recorder
@@ -135,7 +144,7 @@ func TestNilRecorderSafeAndFrom(t *testing.T) {
 		t.Errorf("nil recorder snapshot rank %d", s.Rank)
 	}
 	r.Reset()
-	if From(anyVal) != nil {
+	if From(untraced) != nil {
 		t.Error("From of a non-Source must be nil")
 	}
 }
@@ -154,7 +163,7 @@ func TestNilRecorderZeroAlloc(t *testing.T) {
 		r.PeerSend(1, 1, 10)
 		r.PeerRecv(1, 1, 10)
 		_ = r.Now()
-		_ = From(anyVal)
+		_ = From(untraced)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates: %.1f allocs/op", allocs)

@@ -1,164 +1,50 @@
 package sim
 
 import (
-	"fmt"
-
 	"pmsort/internal/comm"
 	"pmsort/internal/obs"
 )
 
-// Comm is a communicator: an ordered group of PEs (identified by global
-// ranks) with this PE's position in it. Group-relative ranks 0..Size()-1
-// address members. Communicators are cheap, purely local values — no
-// communication is needed to split them (the paper excludes MPI
-// communicator construction from its timings for the same reason).
-//
-// Comm is the simulated backend of comm.Communicator: messages cost
-// virtual α + ℓ·β time by link class, and the cost hook charges local
-// work against the virtual clock.
-type Comm struct {
-	pe    *PE
-	ranks []int // global ranks of the members, ascending
-	me    int   // index of pe in ranks
-}
-
-var _ comm.Communicator = (*Comm)(nil)
-
 // World returns the communicator containing all PEs of pe's machine.
-func World(pe *PE) *Comm {
-	ranks := pe.m.worldRanks()
-	return &Comm{pe: pe, ranks: ranks, me: pe.rank}
-}
-
-// worldRanks returns the shared 0..p-1 rank slice, built lazily once.
-func (m *Machine) worldRanks() []int {
-	m.worldOnce.Do(func() {
-		m.world = make([]int, m.p)
-		for i := range m.world {
-			m.world[i] = i
-		}
-	})
-	return m.world
-}
-
-// PE returns the PE this communicator view belongs to.
-func (c *Comm) PE() *PE { return c.pe }
-
-// Size returns the number of members.
-func (c *Comm) Size() int { return len(c.ranks) }
-
-// Rank returns this PE's group-relative rank.
-func (c *Comm) Rank() int { return c.me }
-
-// GlobalRank translates a group-relative rank to a machine rank.
-func (c *Comm) GlobalRank(r int) int { return c.ranks[r] }
-
-// Send sends to the member with group-relative rank `to`.
-func (c *Comm) Send(to, tag int, payload any, words int64) {
-	c.pe.Send(c.ranks[to], tag, payload, words)
-}
-
-// Recv receives from the member with group-relative rank `from`.
-func (c *Comm) Recv(from, tag int) (any, int64) {
-	return c.pe.Recv(c.ranks[from], tag)
-}
-
-// GroupSizes returns the sizes of `groups` balanced contiguous groups of
-// a communicator of the given size: sizes differ by at most one, larger
-// groups first.
-func GroupSizes(size, groups int) []int {
-	return comm.GroupSizes(size, groups)
-}
-
-// SplitEqual partitions the members into `groups` balanced contiguous
-// groups (sizes differing by at most one) and returns the communicator of
-// this PE's group together with the group index.
-func (c *Comm) SplitEqual(groups int) (comm.Communicator, int) {
-	starts, ok := comm.EqualStarts(len(c.ranks), groups)
-	if !ok {
-		panic(fmt.Sprintf("sim: SplitEqual(%d) on communicator of size %d", groups, len(c.ranks)))
-	}
-	return c.SplitStarts(starts)
-}
-
-// SplitStarts partitions the members into contiguous groups given by
-// starts: group g consists of member indices starts[g]..starts[g+1]-1,
-// with starts[0] == 0 and starts[len-1] == Size(). Empty groups are
-// allowed for groups this PE is not part of. Returns this PE's group
-// communicator and group index.
-func (c *Comm) SplitStarts(starts []int) (comm.Communicator, int) {
-	lo, hi, g, ok := comm.SplitBounds(starts, len(c.ranks), c.me)
-	if !ok {
-		panic(fmt.Sprintf("sim: SplitStarts with invalid bounds %v for size %d rank %d", starts, len(c.ranks), c.me))
-	}
-	return &Comm{pe: c.pe, ranks: c.ranks[lo:hi], me: c.me - lo}, g
-}
-
-// SplitModulo partitions the members into m groups by rank modulo m
-// (group g holds the members with rank ≡ g mod m — "column" groups of a
-// row-major grid). Returns this PE's group communicator and group index.
-func (c *Comm) SplitModulo(m int) (comm.Communicator, int) {
-	ranks, me, g, ok := comm.ModuloRanks(c.ranks, c.me, m)
-	if !ok {
-		panic(fmt.Sprintf("sim: SplitModulo(%d) on communicator of size %d", m, len(c.ranks)))
-	}
-	return &Comm{pe: c.pe, ranks: ranks, me: me}, g
-}
-
-// Subset returns the communicator of members [lo, hi). This PE must be a
-// member of the subset.
-func (c *Comm) Subset(lo, hi int) comm.Communicator {
-	return c.subset(lo, hi)
-}
-
-// subset is Subset with the concrete return type (for sim-internal use).
-func (c *Comm) subset(lo, hi int) *Comm {
-	if c.me < lo || c.me >= hi {
-		panic(fmt.Sprintf("sim: Subset(%d,%d) does not contain rank %d", lo, hi, c.me))
-	}
-	return &Comm{pe: c.pe, ranks: c.ranks[lo:hi], me: c.me - lo}
+// The PE is the group's endpoint (comm.Endpoint): messages cost virtual
+// α + ℓ·β time by link class, and the cost hook charges local work
+// against the virtual clock.
+func World(pe *PE) comm.Communicator {
+	return comm.NewGroup(pe, pe.m.world, pe.rank)
 }
 
 // Cost returns the hook charging cost annotations against this PE's
-// virtual clock under the machine's cost model.
-func (c *Comm) Cost() comm.Cost { return costHook{c} }
+// virtual clock under the machine's cost model, for the group with the
+// given members.
+func (pe *PE) Cost(members []int) comm.Cost { return costHook{pe, members} }
 
-// ObsRecorder returns this PE's obs recorder (nil unless the machine's
-// EnableObs was called) — the obs.Source hook; split communicators
-// share the PE and so stay traced.
-func (c *Comm) ObsRecorder() *obs.Recorder { return c.pe.m.ObsRecorder(c.pe.rank) }
-
-// Link classifies the network link between this PE and member `to`.
-func (c *Comm) Link(to int) LinkClass {
-	return c.pe.m.topo.Link(c.pe.rank, c.ranks[to])
-}
-
-// Span returns the widest link class occurring inside the group. For the
-// contiguous rank ranges used throughout the library this is the link
-// between the first and the last member.
-func (c *Comm) Span() LinkClass {
-	return c.pe.m.topo.Link(c.ranks[0], c.ranks[len(c.ranks)-1])
-}
+// Recorder returns this PE's obs recorder (nil unless the machine's
+// EnableObs was called) — the obs.Source hook; every communicator of
+// the PE shares it and so stays traced.
+func (pe *PE) Recorder() *obs.Recorder { return pe.m.ObsRecorder(pe.rank) }
 
 // costHook implements comm.Cost by charging the virtual clock.
-type costHook struct{ c *Comm }
+type costHook struct {
+	pe      *PE
+	members []int
+}
 
-func (h costHook) Ops(n int64)          { h.c.pe.ChargeOps(n) }
-func (h costHook) PartitionOps(n int64) { h.c.pe.ChargePartitionOps(n) }
-func (h costHook) Scan(n int64)         { h.c.pe.ChargeScan(n) }
-func (h costHook) SortOps(n int64)      { h.c.pe.ChargeSortOps(n) }
-func (h costHook) Now() int64           { return h.c.pe.Now() }
+func (h costHook) Ops(n int64)          { h.pe.ChargeOps(n) }
+func (h costHook) PartitionOps(n int64) { h.pe.ChargePartitionOps(n) }
+func (h costHook) Scan(n int64)         { h.pe.ChargeScan(n) }
+func (h costHook) SortOps(n int64)      { h.pe.ChargeSortOps(n) }
+func (h costHook) Now() int64           { return h.pe.Now() }
 
 // BarrierSync replaces a timed barrier's internal message costs with the
 // modeled exit time entry + 2·⌈log₂ p⌉·α over the group's widest link,
 // setting all members' clocks to the identical value (§7.1: phases are
-// delimited by MPI_Barrier calls in the paper's measurements).
+// delimited by MPI_Barrier calls in the paper's measurements). For the
+// contiguous rank ranges used throughout the library the widest link is
+// the one between the first and the last member.
 func (h costHook) BarrierSync(entry int64) int64 {
-	rounds := int64(0)
-	for d := 1; d < h.c.Size(); d <<= 1 {
-		rounds++
-	}
-	exit := entry + 2*rounds*h.c.pe.Cost().Alpha[h.c.Span()]
-	h.c.pe.SyncTo(exit)
+	m, n := h.pe.m, len(h.members)
+	span := m.topo.Link(h.members[0], h.members[n-1])
+	exit := entry + 2*log2Ceil(int64(n))*m.cost.Alpha[span]
+	h.pe.SyncTo(exit)
 	return exit
 }

@@ -41,24 +41,28 @@ func TestSplitModuloCommunication(t *testing.T) {
 	})
 }
 
-func TestSpan(t *testing.T) {
+// TestBarrierSyncSpan: the modeled barrier costs 2·⌈log₂ size⌉·α over
+// the widest link inside the group it is called on — the link between
+// the group's first and last member.
+func TestBarrierSyncSpan(t *testing.T) {
 	topo := Topology{CoresPerNode: 4, NodesPerIsland: 2}
-	m := New(16, topo, DefaultCost())
+	cost := DefaultCost()
+	m := New(16, topo, cost)
 	m.Run(func(pe *PE) {
 		world := World(pe)
-		if got := world.Span(); got != LinkCross {
-			t.Errorf("world span = %v, want cross (2 islands)", got)
+		if got, want := world.Cost().BarrierSync(0), 2*4*cost.Alpha[LinkCross]; got != want {
+			t.Errorf("world (2 islands) barrier exit = %d, want %d", got, want)
 		}
 		if pe.Rank() < 4 {
-			node := world.subset(0, 4)
-			if got := node.Span(); got != LinkNode {
-				t.Errorf("node span = %v", got)
+			node := world.Subset(0, 4)
+			if got, want := node.Cost().BarrierSync(0), 2*2*cost.Alpha[LinkNode]; got != want {
+				t.Errorf("node barrier exit = %d, want %d", got, want)
 			}
 		}
 		if pe.Rank() < 8 {
-			island := world.subset(0, 8)
-			if got := island.Span(); got != LinkIsland {
-				t.Errorf("island span = %v", got)
+			island := world.Subset(0, 8)
+			if got, want := island.Cost().BarrierSync(0), 2*3*cost.Alpha[LinkIsland]; got != want {
+				t.Errorf("island barrier exit = %d, want %d", got, want)
 			}
 		}
 	})

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
+	"pmsort/internal/comm"
 	"pmsort/internal/obs"
 )
 
@@ -13,12 +13,10 @@ type Machine struct {
 	topo Topology
 	cost CostModel
 	pes  []*PE
-
-	worldOnce sync.Once
-	world     []int
-
-	// trace collects Send/Recv/Mark events when enabled (trace.go).
-	trace *tracer
+	// mbox[i] is PE i's mailbox: messages are matched by (source, tag)
+	// and are FIFO per pair, which keeps virtual time deterministic.
+	mbox  []*comm.Mailbox
+	world []int // 0..p-1, the member list every World shares
 
 	// rec holds the per-PE obs recorders when EnableObs was called
 	// (nil otherwise — the disabled fast path).
@@ -30,10 +28,12 @@ func New(p int, topo Topology, cost CostModel) *Machine {
 	if p <= 0 {
 		panic(fmt.Sprintf("sim: invalid machine size p=%d", p))
 	}
-	m := &Machine{p: p, topo: topo, cost: cost}
+	m := &Machine{p: p, topo: topo, cost: cost, world: comm.WorldRanks(p)}
 	m.pes = make([]*PE, p)
+	m.mbox = make([]*comm.Mailbox, p)
 	for i := range m.pes {
-		m.pes[i] = &PE{rank: i, m: m, mbox: newMailbox()}
+		m.mbox[i] = comm.NewMailbox(nil)
+		m.pes[i] = &PE{rank: i, m: m}
 	}
 	return m
 }
@@ -87,29 +87,11 @@ type RunResult struct {
 
 // Run executes fn once per PE (each on its own goroutine), waits for all
 // of them, and returns the final virtual clocks. Clocks are *not* reset
-// between runs; use Reset for that. If any PE panics, Run re-panics on
-// the calling goroutine with the first panic observed.
+// between runs; use Reset for that. If a PE panics, its peers blocked in
+// Recv unwind and Run re-panics on the calling goroutine with the first
+// panic and its PE (comm.RunPEs).
 func (m *Machine) Run(fn func(pe *PE)) RunResult {
-	var wg sync.WaitGroup
-	wg.Add(m.p)
-	panics := make([]any, m.p)
-	for i := 0; i < m.p; i++ {
-		go func(pe *PE) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[pe.rank] = fmt.Sprintf("PE %d: %v", pe.rank, r)
-				}
-			}()
-			fn(pe)
-		}(m.pes[i])
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
+	comm.RunPEs(m.mbox, func(rank int) { fn(m.pes[rank]) })
 	res := RunResult{Times: make([]int64, m.p)}
 	for i, pe := range m.pes {
 		res.Times[i] = pe.now
@@ -124,8 +106,8 @@ func (m *Machine) Run(fn func(pe *PE)) RunResult {
 // mailbox still holds undelivered messages (a protocol bug in the
 // previous program).
 func (m *Machine) Reset() {
-	for _, pe := range m.pes {
-		if n := pe.mbox.pending(); n != 0 {
+	for i, pe := range m.pes {
+		if n := m.mbox[i].Pending(); n != 0 {
 			panic(fmt.Sprintf("sim: PE %d has %d undelivered messages at Reset", pe.rank, n))
 		}
 		pe.now = 0

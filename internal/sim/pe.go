@@ -1,15 +1,19 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
 
-// PE is one processing element of the simulated machine. A PE is bound to
-// the goroutine executing it; its methods must not be called from other
-// goroutines.
+	"pmsort/internal/comm"
+)
+
+// PE is one processing element of the simulated machine, and the
+// comm.Endpoint of every communicator split from its World. A PE is
+// bound to the goroutine executing it; its methods must not be called
+// from other goroutines.
 type PE struct {
 	rank int
 	m    *Machine
 	now  int64 // virtual clock, ns
-	mbox *mailbox
 
 	// Traffic counters, maintained since the last ResetCounters call.
 	// They count application messages (collectives built on Send/Recv
@@ -28,9 +32,6 @@ func (pe *PE) P() int { return pe.m.p }
 
 // Machine returns the machine this PE belongs to.
 func (pe *PE) Machine() *Machine { return pe.m }
-
-// Cost returns the machine's cost model.
-func (pe *PE) Cost() *CostModel { return &pe.m.cost }
 
 // Now returns the PE's virtual clock in nanoseconds.
 func (pe *PE) Now() int64 { return pe.now }
@@ -100,8 +101,7 @@ func (pe *PE) Send(to, tag int, payload any, words int64) {
 	pe.now += pe.m.cost.MsgNS(lc, words)
 	pe.MsgsSent++
 	pe.WordsSent += words
-	pe.record(EvSend, to, tag, words, "")
-	pe.m.pes[to].mbox.put(pe.rank, tag, message{payload: payload, words: words, sentAt: start})
+	pe.m.mbox[to].Put(pe.rank, tag, comm.Message{Payload: payload, Words: words, SentAt: start})
 }
 
 // Recv blocks until the message with the given tag from the given global
@@ -111,17 +111,14 @@ func (pe *PE) Recv(from, tag int) (any, int64) {
 	if from < 0 || from >= pe.m.p {
 		panic(fmt.Sprintf("sim: recv on PE %d from invalid rank %d (p=%d)", pe.rank, from, pe.m.p))
 	}
-	m := pe.mbox.take(from, tag)
+	m := pe.m.mbox[pe.rank].Take(from, tag)
 	lc := pe.m.topo.Link(from, pe.rank)
-	start := pe.now
-	if m.sentAt > start {
-		start = m.sentAt
-	}
-	pe.now = start + pe.m.cost.MsgNS(lc, m.words)
+	// The receive cannot complete before the send began.
+	start := max(pe.now, m.SentAt)
+	pe.now = start + pe.m.cost.MsgNS(lc, m.Words)
 	pe.MsgsRecv++
-	pe.WordsRecv += m.words
-	pe.record(EvRecv, from, tag, m.words, "")
-	return m.payload, m.words
+	pe.WordsRecv += m.Words
+	return m.Payload, m.Words
 }
 
 // SendRecv sends to `to` and then receives from `from` with the same tag.

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"strings"
 	"testing"
-	"testing/quick"
+	"time"
 )
 
 func TestTopologyLinkClasses(t *testing.T) {
@@ -198,6 +199,30 @@ func TestResetDetectsLeakedMessages(t *testing.T) {
 	m.Reset()
 }
 
+// TestRunPanicUnwindsWaitingPeer: a PE that panics while a peer is
+// parked in Recv on it must not hang the machine — the peer unwinds and
+// Run re-panics with the first panic and its PE.
+func TestRunPanicUnwindsWaitingPeer(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		NewDefault(2).Run(func(pe *PE) {
+			if pe.Rank() == 1 {
+				panic("boom")
+			}
+			World(pe).Recv(1, 7)
+		})
+	}()
+	select {
+	case r := <-done:
+		if s, _ := r.(string); !strings.Contains(s, "PE 1: boom") {
+			t.Fatalf("Run panicked with %v, want the first panic and its PE", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run hangs: rank 0 still waits for a message from the panicked rank 1")
+	}
+}
+
 func TestRunPropagatesPanic(t *testing.T) {
 	m := NewDefault(3)
 	defer func() {
@@ -210,27 +235,6 @@ func TestRunPropagatesPanic(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-func TestGroupSizes(t *testing.T) {
-	if err := quick.Check(func(size, groups uint8) bool {
-		s := int(size%200) + 1
-		g := int(groups)%s + 1
-		sizes := GroupSizes(s, g)
-		sum, minSz, maxSz := 0, s+1, -1
-		for _, x := range sizes {
-			sum += x
-			if x < minSz {
-				minSz = x
-			}
-			if x > maxSz {
-				maxSz = x
-			}
-		}
-		return sum == s && maxSz-minSz <= 1 && len(sizes) == g
-	}, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestSplitEqual(t *testing.T) {

@@ -90,9 +90,9 @@ const (
 	opAbort    = 3 // retire one job's tag namespace mesh-wide
 )
 
-// meshComm is the optional transport surface the fault-tolerance layer
-// rides on, implemented by *netcomm.Comm. In-process backends don't
-// have it; on them health watching, job abort, and deadlines degrade
+// meshComm is the optional endpoint capability the fault-tolerance
+// layer rides on, implemented by *netcomm.Machine. In-process backends
+// don't have it; on them health watching, job abort, and deadlines degrade
 // to no-ops (jobs still run, they just cannot be unwound mid-flight).
 type meshComm interface {
 	Health() netcomm.MeshHealth
@@ -338,7 +338,7 @@ func serveCoordinator(ctx context.Context, world comm.Communicator, opt Options)
 		schedDone: make(chan struct{}),
 		stopCh:    make(chan struct{}),
 	}
-	co.mesh, _ = world.(meshComm)
+	co.mesh, _ = comm.Capability[meshComm](world)
 	co.cond = sync.NewCond(&co.mu)
 
 	ln, err := net.Listen("tcp", opt.Addr)
@@ -908,7 +908,7 @@ func failureKind(err error) string {
 // failure (the coordinator died) is returned as an error after the
 // jobs have failed over the same poisoned mailbox.
 func serveWorker(world comm.Communicator) error {
-	mc, _ := world.(meshComm)
+	mc, _ := comm.Capability[meshComm](world)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {

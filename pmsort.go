@@ -5,8 +5,8 @@
 // describes — multisequence selection, fast work-inefficient sorting,
 // scalable data delivery, optimal bucket grouping.
 //
-// The algorithms are written against a pluggable Communicator interface
-// and run on three backends:
+// The algorithms are written against one Communicator type — an ordered
+// PE group over a pluggable per-PE endpoint — and run on three backends:
 //
 //   - the simulated cluster (New/NewCustom): a deterministic
 //     distributed-memory machine with the paper's single-ported α-β cost
@@ -15,7 +15,7 @@
 //     (α + ℓ·β by link class) and per local operation — model
 //     experiments at 10k+ PEs finish in host seconds.
 //   - the native cluster (NewNative): p goroutines of this process
-//     exchanging data through channels with zero virtual-time
+//     handing data over by reference with zero virtual-time
 //     bookkeeping, so the identical algorithms sort real data at real
 //     multicore speed, and phase statistics report wall-clock time.
 //   - the TCP cluster (NewTCP): p single-PE processes — typically on
@@ -71,7 +71,6 @@ package pmsort
 
 import (
 	"context"
-	"io"
 	"time"
 
 	"pmsort/internal/baseline"
@@ -90,19 +89,17 @@ import (
 
 // Re-exported communication and simulator types. A Communicator is an
 // ordered group of PEs with this PE's position in it — the backend-
-// neutral interface every algorithm accepts; a PE is one processing
-// element of the simulated machine.
+// neutral type every algorithm accepts; a PE is one processing element
+// of the simulated machine.
 type (
-	// Communicator is the pluggable communication interface (see
-	// DESIGN.md §6): Size/Rank/GlobalRank, point-to-point Send/Recv,
-	// local group splitting, and a cost-annotation hook the simulator
-	// charges and other backends ignore.
+	// Communicator is the communicator of every backend (see DESIGN.md
+	// §6): Size/Rank/GlobalRank, point-to-point Send/Recv, local group
+	// splitting, and a cost-annotation hook the simulator charges and
+	// other backends ignore.
 	Communicator = comm.Communicator
 	// PE is a processing element bound to the goroutine running it
 	// (simulated backend).
 	PE = sim.PE
-	// Comm is the simulated backend's communicator.
-	Comm = sim.Comm
 	// Topology places PEs into nodes and islands.
 	Topology = sim.Topology
 	// CostModel holds the α-β and local-operation cost constants.
@@ -196,7 +193,7 @@ func (cl *Cluster) Reset() { cl.m.Reset() }
 func (cl *Cluster) PEInfo(rank int) *PE { return cl.m.PE(rank) }
 
 // NativeCluster is a real shared-memory machine: p goroutines of this
-// process exchanging data through channels, with no virtual-time
+// process handing data over by reference, with no virtual-time
 // bookkeeping. The same generic algorithms sort real data at real
 // multicore speed on it; Stats report wall-clock nanoseconds.
 type NativeCluster struct {
@@ -333,35 +330,6 @@ func WrapChaos(c Communicator, cfg ChaosConfig) Communicator {
 	return chaos.Wrap(c, cfg)
 }
 
-// Event is one entry of a message/annotation trace.
-type Event = sim.Event
-
-// EventKind classifies a trace event.
-type EventKind = sim.EventKind
-
-// Trace event kinds.
-const (
-	EvSend = sim.EvSend
-	EvRecv = sim.EvRecv
-	EvMark = sim.EvMark
-)
-
-// EnableTracing starts recording every send, receive, and PE.Mark with
-// its virtual timestamp (host-time cost only, no virtual cost).
-func (cl *Cluster) EnableTracing() { cl.m.EnableTracing() }
-
-// DisableTracing stops recording (existing events are kept).
-func (cl *Cluster) DisableTracing() { cl.m.DisableTracing() }
-
-// ClearTrace drops all recorded events.
-func (cl *Cluster) ClearTrace() { cl.m.ClearTrace() }
-
-// Trace returns the recorded events sorted by (time, rank).
-func (cl *Cluster) Trace() []Event { return cl.m.Trace() }
-
-// WriteTrace dumps the trace in a one-line-per-event text format.
-func (cl *Cluster) WriteTrace(w io.Writer) error { return cl.m.WriteTrace(w) }
-
 // Observability (internal/obs): a backend-neutral tracer per rank —
 // nestable spans with the backend's native clock (virtual nanoseconds on
 // the simulator, wall-clock on native/TCP), named counters, and per-peer
@@ -464,7 +432,7 @@ func RecorderOf(c Communicator) *ObsRecorder { return obs.From(c) }
 func GatherTrace(c Communicator) *ObsTrace { return obs.Gather(c, obs.From(c)) }
 
 // World returns the communicator containing all PEs of pe's cluster.
-func World(pe *PE) *Comm { return sim.World(pe) }
+func World(pe *PE) Communicator { return sim.World(pe) }
 
 // PlanLevels returns the per-level group counts used by the weak-scaling
 // experiments (Table 1).

@@ -49,20 +49,20 @@ func TestPublicSortersAgree(t *testing.T) {
 	const p, perPE = 16, 200
 	type sorterCase struct {
 		name string
-		run  func(c *Comm, data []uint64) []uint64
+		run  func(c Communicator, data []uint64) []uint64
 	}
 	cases := []sorterCase{
-		{"AMS", func(c *Comm, d []uint64) []uint64 {
+		{"AMS", func(c Communicator, d []uint64) []uint64 {
 			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 4})
 			return out
 		}},
-		{"RLM", func(c *Comm, d []uint64) []uint64 {
+		{"RLM", func(c Communicator, d []uint64) []uint64 {
 			out, _ := RLMSort(c, d, u64Less, Config{Levels: 2, Seed: 4})
 			return out
 		}},
-		{"GV", func(c *Comm, d []uint64) []uint64 { out, _ := GVSampleSort(c, d, u64Less, 4); return out }},
-		{"MP", func(c *Comm, d []uint64) []uint64 { out, _ := MPSort(c, d, u64Less, 4); return out }},
-		{"Bitonic", func(c *Comm, d []uint64) []uint64 { out, _ := BitonicSort(c, d, u64Less, 4); return out }},
+		{"GV", func(c Communicator, d []uint64) []uint64 { out, _ := GVSampleSort(c, d, u64Less, 4); return out }},
+		{"MP", func(c Communicator, d []uint64) []uint64 { out, _ := MPSort(c, d, u64Less, 4); return out }},
+		{"Bitonic", func(c Communicator, d []uint64) []uint64 { out, _ := BitonicSort(c, d, u64Less, 4); return out }},
 	}
 	for _, tc := range cases {
 		cl := New(p)
@@ -174,40 +174,6 @@ func TestPublicBuildingBlocks(t *testing.T) {
 			t.Errorf("PE %d received %d elements, want %d", pe.Rank(), total, want)
 		}
 	})
-}
-
-func TestClusterTracing(t *testing.T) {
-	cl := New(4)
-	cl.EnableTracing()
-	cl.Run(func(pe *PE) {
-		pe.Mark("begin")
-		_, _ = AMSSort(World(pe), []uint64{uint64(pe.Rank())}, u64Less, Config{Levels: 1, Seed: 6})
-	})
-	evs := cl.Trace()
-	if len(evs) == 0 {
-		t.Fatal("no events recorded")
-	}
-	marks, sends, recvs := 0, 0, 0
-	for _, ev := range evs {
-		switch ev.Kind {
-		case EvMark:
-			marks++
-		case EvSend:
-			sends++
-		case EvRecv:
-			recvs++
-		}
-	}
-	if marks != 4 {
-		t.Errorf("marks = %d, want 4", marks)
-	}
-	if sends == 0 || sends != recvs {
-		t.Errorf("sends=%d recvs=%d — every send must be received", sends, recvs)
-	}
-	cl.ClearTrace()
-	if len(cl.Trace()) != 0 {
-		t.Error("ClearTrace failed")
-	}
 }
 
 func TestPlanLevelsExported(t *testing.T) {

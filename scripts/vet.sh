@@ -17,11 +17,6 @@ else
 	go run ./cmd/pmsortvet ./...
 fi
 
-# The nested tools module hosts the same driver (and is where the
-# x/tools dependency would live); keep it compiling.
-echo "== tools module build =="
-(cd tools && go build -o /dev/null ./pmsortvet)
-
 echo "== govulncheck =="
 if command -v govulncheck >/dev/null 2>&1; then
 	govulncheck ./...
