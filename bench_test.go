@@ -35,7 +35,10 @@ func benchRun(b *testing.B, spec expt.Spec) {
 	for i := 0; i < b.N; i++ {
 		s := spec
 		s.Seed = spec.Seed + uint64(i)
-		res := expt.Run(s)
+		res, err := expt.Run("sim", s)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sim = res.TotalNS
 	}
 	b.ReportMetric(float64(sim)/1e6, "simms/op")

@@ -60,15 +60,6 @@ import (
 	"pmsort/internal/workload"
 )
 
-var kindVals = map[string]workload.Kind{
-	"uniform":       workload.Uniform,
-	"skewed":        workload.Skewed,
-	"dup-heavy":     workload.DupHeavy,
-	"sorted":        workload.Sorted,
-	"reverse":       workload.Reverse,
-	"almost-sorted": workload.AlmostSorted,
-}
-
 func main() {
 	var (
 		url         = flag.String("url", "", "base URL of a running sort service")
@@ -91,7 +82,7 @@ func main() {
 
 	kinds := strings.Split(*kindsStr, ",")
 	for _, k := range kinds {
-		if _, ok := kindVals[strings.TrimSpace(k)]; !ok {
+		if kind, ok := workload.ParseKind(strings.TrimSpace(k)); !ok || kind == workload.OnePE {
 			fatalf("unknown kind %q (one-pe is not load-generator material)", k)
 		}
 	}
@@ -420,9 +411,10 @@ func (ld *loader) workloadJob(i int, seed uint64) error {
 	// generated their slices — same kind, seed, and geometry (the service
 	// rounds n up to perPE·p; st.N reports the rounded total).
 	perPE := int(st.N) / ld.p
+	kind, _ := workload.ParseKind(kindName) // validated in main
 	var want uint64
 	for rank := 0; rank < ld.p; rank++ {
-		for _, k := range workload.Local(kindVals[kindName], seed, ld.p, perPE, rank) {
+		for _, k := range workload.Local(kind, seed, ld.p, perPE, rank) {
 			want += prng.Mix64(k)
 		}
 	}
@@ -441,7 +433,11 @@ func (ld *loader) workloadJob(i int, seed uint64) error {
 func jobFailure(st *svc.JobStatus) error {
 	msg := fmt.Sprintf("status %q: %s", st.Status, st.Error)
 	if st.ErrorKind != "" {
-		return typedFailure{msg: fmt.Sprintf("%s (kind %s, rank %d, %d attempts)", msg, st.ErrorKind, st.ErrorRank, st.Attempts)}
+		rank := "none"
+		if st.ErrorRank != nil {
+			rank = fmt.Sprint(*st.ErrorRank)
+		}
+		return typedFailure{msg: fmt.Sprintf("%s (kind %s, rank %s, %d attempts)", msg, st.ErrorKind, rank, st.Attempts)}
 	}
 	return fmt.Errorf("%s", msg)
 }

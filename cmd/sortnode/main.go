@@ -49,26 +49,6 @@ import (
 	"pmsort/internal/workload"
 )
 
-var algos = map[string]expt.Algo{
-	"ams":     expt.AMS,
-	"rlm":     expt.RLM,
-	"gv":      expt.GV,
-	"mp":      expt.MP,
-	"bitonic": expt.Bitonic,
-	"hist":    expt.Hist,
-	"hcq":     expt.HCQ,
-}
-
-var kinds = map[string]workload.Kind{
-	"uniform":       workload.Uniform,
-	"skewed":        workload.Skewed,
-	"dup-heavy":     workload.DupHeavy,
-	"sorted":        workload.Sorted,
-	"reverse":       workload.Reverse,
-	"almost-sorted": workload.AlmostSorted,
-	"one-pe":        workload.OnePE,
-}
-
 func main() {
 	var (
 		rank     = flag.Int("rank", -1, "this process's rank (index into -peers)")
@@ -92,11 +72,11 @@ func main() {
 	)
 	flag.Parse()
 
-	algo, ok := algos[*algoStr]
+	algo, ok := expt.ParseAlgo(*algoStr)
 	if !ok {
 		fatalf("unknown -algo %q", *algoStr)
 	}
-	kind, ok := kinds[*kindStr]
+	kind, ok := workload.ParseKind(*kindStr)
 	if !ok {
 		fatalf("unknown -kind %q", *kindStr)
 	}

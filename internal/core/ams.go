@@ -369,9 +369,9 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// accumulates the radix histograms, so the final radix's counting
 	// pass overlaps the exchange too, and at the prefix-cached last
 	// level it extracts the arriving chunks' prefix sidecar the same
-	// way. Options.Batch routes through the original
-	// materialize-then-concatenate path instead (byte-identical;
-	// asserted by the torture harness).
+	// way. (Under delivery's Options.Batch knob the chunks all arrive
+	// after the exchange, in rank order, and the same loop runs then —
+	// byte-identical; asserted by the torture harness.)
 	var hkey, pf func(E) uint64
 	var hist *seq.KeyedHist
 	if last {
@@ -383,40 +383,14 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 		}
 	}
 	exch := st.rec.StartLevel(obs.SpanExchange, level)
-	var next []E
-	if dopt.Batch {
-		chunks := delivery.Deliver(c, pieces, dopt)
-		var total int
-		for _, ch := range chunks {
-			total += len(ch)
-		}
-		next = st.grab(total)
-		var pfx []uint64
-		if pf != nil {
-			pfx = st.pfxGrab(total)
-		}
-		for _, ch := range chunks {
-			if hkey != nil {
-				seq.HistKeyed(ch, hkey, hist)
-			}
-			if pf != nil {
-				pfx = seq.ExtractPrefixes(pfx, ch, pf)
-			}
-			next = append(next, ch...)
-		}
-		if pf != nil {
-			st.pfx = pfx
-		}
-	} else {
-		bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
-		var pfx []uint64
-		if pf != nil {
-			pfx = st.pfxGrab(bound)
-		}
-		next, pfx = streamConcat(c, pieces, dopt, st.grab(bound), hkey, hist, pf, pfx)
-		if pf != nil {
-			st.pfx = pfx
-		}
+	bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
+	var pfx []uint64
+	if pf != nil {
+		pfx = st.pfxGrab(bound)
+	}
+	next, pfx := streamConcat(c, pieces, dopt, st.grab(bound), hkey, hist, pf, pfx)
+	if pf != nil {
+		st.pfx = pfx
 	}
 	total := len(next)
 	// data is dead once the barrier below has passed: every PE holding

@@ -27,10 +27,11 @@ import (
 //     is the staging and, on the TCP backend, the decode of later
 //     messages behind the processing of earlier ones.
 //
-// delivery.Options.Batch routes a concatenation level through the
-// original materialize-then-process path instead (for merge levels the
-// two are the same code); the torture harness randomizes the knob and
-// asserts the two are byte-identical.
+// The batch-vs-stream decision lives in delivery alone: under its
+// Options.Batch knob DeliverStream emits every sender's chunks only
+// after the exchange, in rank order, and these same consumers run then —
+// the original materialize-then-process path. The torture harness
+// randomizes the knob and asserts the two are byte-identical.
 
 // streamConcat delivers pieces and concatenates the received chunks in
 // sender-rank order into buf (a zero-length slice with capacity from
@@ -81,8 +82,7 @@ func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options
 // arena (st.pfx, recycled across levels; dead between a level's merge
 // and the next level's staging); spans are recorded as offsets and
 // sliced only after the stream completes, since the growing arena may
-// reallocate under earlier sub-slices. Options.Batch extracts after a
-// batch Deliver instead — byte-identical, like the concatenation path.
+// reallocate under earlier sub-slices.
 func streamRuns[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, st *localScratch[E]) (chunks [][]E, pfx [][]uint64) {
 	type span struct{ off, n int }
 	arena := st.pfx[:0]
@@ -95,26 +95,20 @@ func streamRuns[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, 
 		}
 		return ss
 	}
-	var spans []span
-	if opt.Batch {
-		chunks = delivery.Deliver(c, pieces, opt)
-		spans = extract(chunks)
-	} else {
-		p := c.Size()
-		bySrc := make([][][]E, p)
-		spansBySrc := make([][]span, p)
-		nchunks := 0
-		delivery.DeliverStream(c, pieces, opt, func(src int, chs [][]E) {
-			bySrc[src] = chs
-			spansBySrc[src] = extract(chs)
-			nchunks += len(chs)
-		})
-		chunks = make([][]E, 0, nchunks)
-		spans = make([]span, 0, nchunks)
-		for src := 0; src < p; src++ {
-			chunks = append(chunks, bySrc[src]...)
-			spans = append(spans, spansBySrc[src]...)
-		}
+	p := c.Size()
+	bySrc := make([][][]E, p)
+	spansBySrc := make([][]span, p)
+	nchunks := 0
+	delivery.DeliverStream(c, pieces, opt, func(src int, chs [][]E) {
+		bySrc[src] = chs
+		spansBySrc[src] = extract(chs)
+		nchunks += len(chs)
+	})
+	chunks = make([][]E, 0, nchunks)
+	spans := make([]span, 0, nchunks)
+	for src := 0; src < p; src++ {
+		chunks = append(chunks, bySrc[src]...)
+		spans = append(spans, spansBySrc[src]...)
 	}
 	st.pfx = arena
 	pfx = make([][]uint64, len(chunks))

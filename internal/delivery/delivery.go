@@ -100,13 +100,16 @@ type Options struct {
 	// SplitFactorA is the a in the Appendix A chunk limit s = a·n/(rp);
 	// 0 picks the Lemma 6 value a ≈ (√(1+r/ln(rp)) - 1)/2.
 	SplitFactorA float64
-	// Batch disables the receive-driven streaming exchange: the sorters
-	// fall back to the original materialize-then-process bulk exchange
-	// (Deliver + post-barrier concatenation/merge) instead of consuming
-	// DeliverStream. Streamed and batch deliveries are byte-identical —
-	// the torture harness randomizes this knob and asserts it — so Batch
-	// exists as the conformance reference and an A/B lever, not as a
-	// semantic switch.
+	// Batch disables the receive-driven streaming exchange:
+	// DeliverStream holds every sender's chunks back until the exchange
+	// has completed and then emits them in sender-rank order — the
+	// original materialize-then-process bulk exchange, which is what
+	// Deliver always is — so the sorters' streaming consumers do all
+	// their per-chunk work after the exchange instead of overlapped into
+	// it. Streamed and batch deliveries are byte-identical — the torture
+	// harness randomizes this knob and asserts it — so Batch exists as
+	// the conformance reference and an A/B lever, not as a semantic
+	// switch. This package is the only place that branches on it.
 	Batch bool
 }
 
@@ -126,6 +129,7 @@ func chunkWords[E any](ch chunk[E]) int64 { return int64(len(ch.data)) + 1 }
 // the exchange; DeliverStream hands out the same chunks as they
 // arrive.
 func Deliver[E any](c comm.Communicator, pieces [][]E, opt Options) [][]E {
+	opt.Batch = false // this collector already is the batch path
 	bySrc := make([][][]E, c.Size())
 	DeliverStream(c, pieces, opt, func(src int, chunks [][]E) { bySrc[src] = chunks })
 	var recv [][]E
@@ -144,7 +148,9 @@ func Deliver[E any](c comm.Communicator, pieces [][]E, opt Options) [][]E {
 // waiting behind it. emit is called exactly once per member of c, on
 // the calling goroutine, with a possibly empty chunk list; re-ordering
 // the emitted lists by src and concatenating reproduces Deliver's
-// result exactly (the torture harness asserts byte identity).
+// result exactly (the torture harness asserts byte identity). Under
+// opt.Batch the same calls happen, but only after the exchange has
+// completed and in sender-rank order.
 //
 // Coalescing (shared with Deliver): when a plan cuts one sender's piece
 // into several spans that all land here, the zero-copy backends deliver
@@ -178,10 +184,18 @@ func DeliverStream[E any](c comm.Communicator, pieces [][]E, opt Options, emit f
 		panic("delivery: unknown strategy")
 	}
 	h := func(src int, msg []chunk[E]) { emit(src, coalesce(msg)) }
+	var held [][][]E // Batch: per-sender chunk lists, emitted after the exchange
+	if opt.Batch {
+		held = make([][][]E, c.Size())
+		h = func(src int, msg []chunk[E]) { held[src] = coalesce(msg) }
+	}
 	if opt.Exchange == Direct {
 		coll.AlltoallvDirectStreamFunc(c, out, chunkWords[E], h)
 	} else {
 		coll.Alltoallv1FactorStreamFunc(c, out, chunkWords[E], h)
+	}
+	for src, chunks := range held {
+		emit(src, chunks)
 	}
 }
 

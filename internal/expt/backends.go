@@ -19,7 +19,7 @@ var BackendKernels = []string{"keyed", "cmp", "cmp+prefix"}
 
 // writeLevelPhases prints one indented row per recursion level with the
 // four phase times in ms (max over PEs; see Stats.LevelPhaseNS). A nil
-// breakdown (tcp off / failed) prints nothing.
+// breakdown (tcp off) prints nothing.
 func writeLevelPhases(w io.Writer, backend string, levels [][core.NumPhases]int64) {
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	for lv, row := range levels {
@@ -47,27 +47,43 @@ func kernelSpec(spec Spec, kernel string) (Spec, error) {
 	return spec, nil
 }
 
+// fastestRun runs the spec reps times on one backend and keeps the run
+// with the smallest TotalNS.
+func fastestRun(backend string, spec Spec, reps int, kernel string, progress io.Writer) (Result, error) {
+	var best Result
+	for rep := 0; rep < reps; rep++ {
+		if progress != nil {
+			fmt.Fprintf(progress, "# backends p=%d kernel=%s %s rep %d/%d\n", spec.P, kernel, backend, rep+1, reps)
+		}
+		res, err := Run(backend, spec)
+		if err != nil {
+			return res, err
+		}
+		if rep == 0 || res.TotalNS < best.TotalNS {
+			best = res
+		}
+	}
+	return best, nil
+}
+
 // Backends compares the communication backends on AMS-sort under
 // strong scaling: one fixed input of n elements is split over p PEs and
 // sorted on the simulated backend (reporting virtual α-β time), on the
 // native shared-memory backend (wall-clock time), and — when tcp is set
-// — on a real p-process TCP cluster on loopback (wall-clock time of the
-// sort proper, excluding process launch and rendezvous), next to a
-// single sort.Slice over the whole input on one core — the sequential
-// reference every native number is a speedup against. Wall-clock
-// numbers take the minimum over reps runs (the TCP cluster, whose
-// cold-start dominates, runs once); virtual time is deterministic and
-// measured once. Real speedup saturates around p = GOMAXPROCS; beyond
-// that the goroutine-PEs (and rank processes) time-share cores.
+// — on an in-process p-rank TCP loopback mesh (real sockets and the real
+// wire codec, one process; wall-clock time of the sort proper, excluding
+// rendezvous), next to a single sort.Slice over the whole input on one
+// core — the sequential reference every native number is a speedup
+// against. Wall-clock numbers take the minimum over reps runs; virtual
+// time is deterministic and measured once. Real speedup saturates
+// around p = GOMAXPROCS; beyond that the goroutine-PEs time-share cores.
+// Multi-process numbers come from `sortnode -launch`, not from here.
 //
 // Each p is measured once per requested kernel (see BackendKernels), so
 // the keyed / plain-comparator / prefix-cached gap is visible side by
 // side in one run. The one-core reference stays sort.Slice for every
 // kernel — it is the fixed sequential baseline every recorded speedup
 // in the README's trajectory is measured against.
-//
-// tcp requires the calling binary to invoke MaybeRunTCPChild at
-// startup: each rank is a re-execution of this executable.
 func Backends(w io.Writer, ps []int, n, reps int, seed uint64, tcp bool, kernels []string, progress io.Writer) error {
 	if reps < 1 {
 		reps = 1
@@ -80,7 +96,7 @@ func Backends(w io.Writer, ps []int, n, reps int, seed uint64, tcp bool, kernels
 			return err
 		}
 	}
-	fmt.Fprintf(w, "Backends: AMS-sort simulated vs native shared-memory vs TCP cluster, n=%d total, GOMAXPROCS=%d (wall: min of %d)\n",
+	fmt.Fprintf(w, "Backends: AMS-sort simulated vs native shared-memory vs in-process TCP loopback mesh, n=%d total, GOMAXPROCS=%d (wall: min of %d)\n",
 		n, runtime.GOMAXPROCS(0), reps)
 	fmt.Fprintf(w, "kernel: keyed = Config.Key radix; cmp = plain comparator (NoPrefix); cmp+prefix = comparator with the derived prefix cache.\n")
 	fmt.Fprintf(w, "Per-level phase rows (ms, max over PEs): sel = splitter selection, bucket = bucket processing (classify + merge),\n")
@@ -113,50 +129,33 @@ func Backends(w io.Writer, ps []int, n, reps int, seed uint64, tcp bool, kernels
 			if err != nil {
 				return err
 			}
-			if progress != nil {
-				fmt.Fprintf(progress, "# backends p=%d kernel=%s sim\n", p, kernel)
+			simRes, err := fastestRun("sim", spec, 1, kernel, progress)
+			if err != nil {
+				return err
 			}
-			simRes := Run(spec)
-
-			var nativeNS int64 = 1<<63 - 1
-			var nativeBest NativeResult
-			for rep := 0; rep < reps; rep++ {
-				if progress != nil {
-					fmt.Fprintf(progress, "# backends p=%d kernel=%s native rep %d/%d\n", p, kernel, rep+1, reps)
-				}
-				if res := RunNative(spec); res.SortNS < nativeNS {
-					nativeNS = res.SortNS
-					nativeBest = res
-				}
+			nativeRes, err := fastestRun("native", spec, reps, kernel, progress)
+			if err != nil {
+				return err
 			}
-
 			tcpCol := "-"
-			var tcpLevels [][core.NumPhases]int64
+			var tcpRes Result
 			if tcp {
-				if progress != nil {
-					fmt.Fprintf(progress, "# backends p=%d kernel=%s tcp (one process per rank)\n", p, kernel)
+				if tcpRes, err = fastestRun("tcp", spec, reps, kernel, progress); err != nil {
+					return err
 				}
-				if tcpRes, err := RunTCP(spec); err != nil {
-					tcpCol = "error"
-					if progress != nil {
-						fmt.Fprintf(progress, "# backends p=%d tcp failed: %v\n", p, err)
-					}
-				} else {
-					tcpCol = fmt.Sprintf("%.3f", float64(tcpRes.SortNS)/1e6)
-					tcpLevels = tcpRes.LevelPhaseNS
-				}
+				tcpCol = fmt.Sprintf("%.3f", float64(tcpRes.TotalNS)/1e6)
 			}
 
 			fmt.Fprintf(w, "%-6d %-10s %-2d %-8d %13.3f %16.3f %13s %15.3f %8.2f\n",
 				p, kernel, k, perPE,
 				float64(simRes.TotalNS)/1e6,
-				float64(nativeNS)/1e6,
+				float64(nativeRes.TotalNS)/1e6,
 				tcpCol,
 				float64(seqNS)/1e6,
-				float64(seqNS)/float64(nativeNS))
+				float64(seqNS)/float64(nativeRes.TotalNS))
 			writeLevelPhases(w, "sim", simRes.LevelPhaseNS)
-			writeLevelPhases(w, "native", nativeBest.LevelPhaseNS)
-			writeLevelPhases(w, "tcp", tcpLevels)
+			writeLevelPhases(w, "native", nativeRes.LevelPhaseNS)
+			writeLevelPhases(w, "tcp", tcpRes.LevelPhaseNS)
 		}
 	}
 	return nil

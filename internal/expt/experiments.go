@@ -125,7 +125,7 @@ func RunWeakScaling(opt SuiteOptions, algos []Algo) *WeakData {
 						continue
 					}
 					spec := Spec{Algo: algo, P: p, PerPE: perPE, Levels: k, Kind: opt.Kind, Seed: opt.Seed}
-					d.Cells[cellKey{algo, p, perPE, k}] = RunReps(spec, opt.Reps, opt.Progress)
+					d.Cells[cellKey{algo, p, perPE, k}] = runReps(spec, opt.Reps, opt.Progress)
 				}
 			}
 		}
@@ -275,7 +275,7 @@ func Fig10(w io.Writer, p, perPE, reps int, seed uint64, progress io.Writer) {
 			}
 			spec := Spec{Algo: AMS, P: p, PerPE: perPE, Levels: 1, Seed: seed,
 				Oversampling: float64(ab) / float64(b), Overpartition: b}
-			rs := RunReps(spec, reps, progress)
+			rs := runReps(spec, reps, progress)
 			imb := make([]float64, len(rs))
 			for i, r := range rs {
 				imb[i] = r.OutImbalance - 1
@@ -303,7 +303,7 @@ func Fig11(w io.Writer, p, perPE, reps int, seed uint64, progress io.Writer) {
 			}
 			spec := Spec{Algo: AMS, P: p, PerPE: perPE, Levels: 1, Seed: seed,
 				Oversampling: float64(a), Overpartition: ab / a}
-			rs := RunReps(spec, reps, progress)
+			rs := runReps(spec, reps, progress)
 			tot := make([]int64, len(rs))
 			smp := make([]int64, len(rs))
 			for j, r := range rs {
@@ -339,7 +339,7 @@ func Compare(w io.Writer, opt SuiteOptions) {
 			var bestK int
 			for _, k := range opt.Levels {
 				spec := Spec{Algo: AMS, P: p, PerPE: perPE, Levels: k, Seed: opt.Seed, Kind: opt.Kind}
-				rs := RunReps(spec, opt.Reps, opt.Progress)
+				rs := runReps(spec, opt.Reps, opt.Progress)
 				tot := make([]int64, len(rs))
 				for i, r := range rs {
 					tot[i] = r.TotalNS
@@ -351,7 +351,7 @@ func Compare(w io.Writer, opt SuiteOptions) {
 			fmt.Fprintf(w, "%-9d %-7d %10.3f (%d)", perPE, p, float64(amsBest)/1e6, bestK)
 			for _, algo := range []Algo{MP, GV, Bitonic, Hist, HCQ} {
 				spec := Spec{Algo: algo, P: p, PerPE: perPE, Levels: 1, Seed: opt.Seed, Kind: opt.Kind}
-				rs := RunReps(spec, opt.Reps, opt.Progress)
+				rs := runReps(spec, opt.Reps, opt.Progress)
 				tot := make([]int64, len(rs))
 				for i, r := range rs {
 					tot[i] = r.TotalNS
@@ -374,7 +374,7 @@ func DeliveryAblation(w io.Writer, p, perPE, reps int, seed uint64, progress io.
 			delivery.RandomizedAdvanced, delivery.Deterministic} {
 			spec := Spec{Algo: AMS, P: p, PerPE: perPE, Levels: 2, Seed: seed, Kind: kind,
 				Delivery: delivery.Options{Strategy: strat}}
-			rs := RunReps(spec, reps, progress)
+			rs := runReps(spec, reps, progress)
 			tot := make([]int64, len(rs))
 			msgs := make([]int64, len(rs))
 			for i, r := range rs {
@@ -400,7 +400,7 @@ func AlltoallAblation(w io.Writer, ps []int, perPE, reps int, seed uint64, progr
 		for i, exch := range []delivery.Exchange{delivery.OneFactor, delivery.Direct} {
 			spec := Spec{Algo: AMS, P: p, PerPE: perPE, Levels: 1, Seed: seed,
 				Delivery: delivery.Options{Exchange: exch}}
-			rs := RunReps(spec, reps, progress)
+			rs := runReps(spec, reps, progress)
 			tot := make([]int64, len(rs))
 			for j, r := range rs {
 				tot[j] = r.TotalNS

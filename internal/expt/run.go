@@ -1,20 +1,24 @@
 // Package expt runs the paper's evaluation (§7, Appendix E): weak
 // scaling for Table 2 / Figures 7, 8, 12, the overpartitioning sweeps of
 // Figures 10 and 11, the §7.3 comparison against single-level sorters,
-// the delivery/all-to-all ablations, and the sim-vs-native backend
-// comparison. Every run validates its output (locally sorted, globally
-// ordered across PEs, permutation preserved) before reporting times.
+// the delivery/all-to-all ablations, and the backend comparison. One
+// entry, Run, executes a Spec on any backend (simulator, native
+// goroutines, in-process TCP loopback mesh); every run validates its
+// output (locally sorted, globally ordered across PEs, permutation
+// preserved) before reporting times.
 package expt
 
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"pmsort/internal/coll"
 	"pmsort/internal/comm"
 	"pmsort/internal/core"
 	"pmsort/internal/delivery"
 	"pmsort/internal/native"
+	"pmsort/internal/netcomm"
 	"pmsort/internal/seq"
 	"pmsort/internal/sim"
 	"pmsort/internal/workload"
@@ -59,6 +63,25 @@ func (a Algo) String() string {
 		return "hc-quicksort"
 	}
 	return "invalid"
+}
+
+// algoByName is the one table of the short algorithm names the CLIs
+// and the job API accept.
+var algoByName = map[string]Algo{
+	"ams":     AMS,
+	"rlm":     RLM,
+	"gv":      GV,
+	"mp":      MP,
+	"bitonic": Bitonic,
+	"hist":    Hist,
+	"hcq":     HCQ,
+}
+
+// ParseAlgo maps a short algorithm name (ams|rlm|gv|mp|bitonic|hist|hcq)
+// to its Algo.
+func ParseAlgo(name string) (Algo, bool) {
+	a, ok := algoByName[name]
+	return a, ok
 }
 
 // Spec describes one run.
@@ -125,9 +148,12 @@ func (spec Spec) config() core.Config {
 	}
 }
 
-// Result reports one validated run.
+// Result reports one validated run: maxima over the ranks of their
+// core.Stats. Times are virtual ns on the simulator and wall-clock ns on
+// the real backends.
 type Result struct {
-	// TotalNS is the makespan (max over PEs) in virtual ns.
+	// TotalNS is the makespan of the sort proper (max over PEs, barrier
+	// to barrier — input generation and validation excluded).
 	TotalNS int64
 	// PhaseNS is the per-phase maximum over PEs, accumulated over levels.
 	PhaseNS [core.NumPhases]int64
@@ -138,7 +164,8 @@ type Result struct {
 	OutImbalance float64
 	// LevelImbalance is the largest per-level group imbalance (AMS).
 	LevelImbalance float64
-	// MaxMsgsRecv is the largest per-PE received-message count.
+	// MaxMsgsRecv is the largest per-PE received-message count of the
+	// sort (simulator only — the real backends do not count; 0 there).
 	MaxMsgsRecv int64
 }
 
@@ -193,9 +220,9 @@ func validate(c comm.Communicator, inCount int64, out []uint64) {
 
 // RunOn generates this PE's workload slice, sorts it with the spec's
 // algorithm on the given communicator, and validates the result —
-// backend-neutral, so rank processes of a TCP cluster (cmd/sortnode,
-// the backends experiment) share the exact code path of the in-process
-// backends. Collective call.
+// backend-neutral, so the rank processes of a real TCP cluster
+// (cmd/sortnode) share the exact code path of the in-process backends.
+// Collective call.
 func RunOn(c comm.Communicator, spec Spec) ([]uint64, *core.Stats) {
 	data := workload.Local(spec.Kind, spec.Seed, spec.P, spec.PerPE, c.Rank())
 	return RunData(c, spec, data)
@@ -214,141 +241,127 @@ func RunData(c comm.Communicator, spec Spec, data []uint64) ([]uint64, *core.Sta
 	return out, st
 }
 
-// Run executes and validates one run on the simulated backend. It panics
-// if the output is not a globally sorted permutation of the input.
-func Run(spec Spec) Result {
-	m := sim.NewDefault(spec.P)
+// BackendNames lists the machines a Spec can run on: the α-β simulator
+// (virtual time), the native goroutine cluster, and an in-process TCP
+// loopback mesh — one netcomm.Machine per rank, real sockets in between,
+// one process (multi-process runs are cmd/sortnode -launch).
+var BackendNames = []string{"sim", "native", "tcp"}
+
+// backendOpts are the optional extras of one onBackend machine.
+type backendOpts struct {
+	// obs attaches a recorder to every rank (reach it with obs.From).
+	obs bool
+	// net supplies per-rank transport options on the tcp backend — the
+	// netfault seam of the torture harness (nil: plain options).
+	net func(rank int) netcomm.Options
+}
+
+// onBackend brings up a fresh p-rank machine of the named backend, runs
+// fn on every rank, and tears it down. A rank that panics — a failed
+// validation, a sorter precondition, a transport failure — unwinds its
+// peers (comm.RunPEs in process, the closing mesh on tcp) and comes back
+// as the error; an unknown backend name is an error too.
+func onBackend(backend string, p int, o backendOpts, fn func(c comm.Communicator)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s backend: %v", backend, r)
+		}
+	}()
+	switch backend {
+	case "sim":
+		m := sim.NewDefault(p)
+		if o.obs {
+			m.EnableObs()
+		}
+		m.Run(func(pe *sim.PE) { fn(sim.World(pe)) })
+	case "native":
+		m := native.New(p)
+		if o.obs {
+			m.EnableObs()
+		}
+		m.Run(fn)
+	case "tcp":
+		return netcomm.LocalClusterOpts(p, 30*time.Second, func(rank int) netcomm.Options {
+			var opt netcomm.Options
+			if o.net != nil {
+				opt = o.net(rank)
+			}
+			opt.Obs = o.obs
+			return opt
+		}, func(m *netcomm.Machine, _ int) error {
+			_, err := m.Run(fn)
+			return err
+		})
+	default:
+		return fmt.Errorf("expt: unknown backend %q (want sim, native, or tcp)", backend)
+	}
+	return nil
+}
+
+// ReserveLoopbackAddrs picks p currently free loopback addresses; see
+// netcomm.ReserveLoopbackAddrs (kept here as an alias for the tools
+// that import only expt).
+func ReserveLoopbackAddrs(p int) ([]string, error) {
+	return netcomm.ReserveLoopbackAddrs(p)
+}
+
+// Run executes one run of the spec on the named backend (see BackendNames)
+// and aggregates the ranks' statistics. The ranks validate the output
+// collectively, as RunOn does; a run that is not a globally sorted
+// permutation of its input comes back as an error.
+func Run(backend string, spec Spec) (Result, error) {
 	var res Result
+	stats := make([]*core.Stats, spec.P)
 	outLens := make([]int64, spec.P)
-	allStats := make([]*core.Stats, spec.P)
 	msgs := make([]int64, spec.P)
-	m.Run(func(pe *sim.PE) {
-		pe.ResetCounters()
-		c := sim.World(pe)
-		data := workload.Local(spec.Kind, spec.Seed, spec.P, spec.PerPE, pe.Rank())
+	err := onBackend(backend, spec.P, backendOpts{}, func(c comm.Communicator) {
+		rank := c.Rank()
+		data := workload.Local(spec.Kind, spec.Seed, spec.P, spec.PerPE, rank)
 		inCount := int64(len(data))
 		out, st := runAlgo(c, spec, data)
-		allStats[pe.Rank()] = st
-		outLens[pe.Rank()] = int64(len(out))
-		msgs[pe.Rank()] = pe.MsgsRecv
-
-		// Validation (outside the timed region — stats are captured).
+		stats[rank], outLens[rank] = st, int64(len(out))
+		// Snapshot before validating: its messages are not the sort's.
+		if pe, ok := comm.Capability[*sim.PE](c); ok {
+			msgs[rank] = pe.MsgsRecv
+		}
 		validate(c, inCount, out)
 	})
-
-	n := int64(spec.P) * int64(spec.PerPE)
-	for rank := 0; rank < spec.P; rank++ {
-		st := allStats[rank]
-		if st.TotalNS > res.TotalNS {
-			res.TotalNS = st.TotalNS
-		}
-		for ph := 0; ph < int(core.NumPhases); ph++ {
-			if st.PhaseNS[ph] > res.PhaseNS[ph] {
-				res.PhaseNS[ph] = st.PhaseNS[ph]
-			}
-		}
-		res.LevelPhaseNS = maxLevels(res.LevelPhaseNS, st.LevelPhaseNS)
-		if st.MaxImbalance > res.LevelImbalance {
-			res.LevelImbalance = st.MaxImbalance
-		}
-		if n > 0 {
-			imb := float64(outLens[rank]) * float64(spec.P) / float64(n)
-			if imb > res.OutImbalance {
-				res.OutImbalance = imb
-			}
-		}
-		if msgs[rank] > res.MaxMsgsRecv {
-			res.MaxMsgsRecv = msgs[rank]
-		}
+	if err != nil {
+		return res, err
 	}
-	return res
+	for rank, st := range stats {
+		res.absorb(st, outLens[rank], msgs[rank], spec)
+	}
+	return res, nil
 }
 
-// NativeResult reports one validated run on the native shared-memory
-// backend. All times are wall-clock nanoseconds.
-type NativeResult struct {
-	// WallNS is the wall-clock makespan of the whole Run (including
-	// input generation and validation overheads outside the sort).
-	WallNS int64
-	// SortNS is the largest per-PE Stats.TotalNS — the wall-clock time
-	// of the sort proper, barrier to barrier.
-	SortNS int64
-	// PhaseNS is the per-phase maximum over PEs.
-	PhaseNS [core.NumPhases]int64
-	// LevelPhaseNS is the per-level per-phase maximum over PEs.
-	LevelPhaseNS [][core.NumPhases]int64
-	// OutImbalance is max_PE |out|·p/n.
-	OutImbalance float64
-}
-
-// maxLevels max-merges one rank's per-level phase vector into the
-// aggregate, growing the aggregate to the deeper of the two.
-func maxLevels(agg, st [][core.NumPhases]int64) [][core.NumPhases]int64 {
-	for len(agg) < len(st) {
-		agg = append(agg, [core.NumPhases]int64{})
+// absorb folds one rank's outcome into the aggregate: maxima over ranks
+// of the times, the level imbalance, the received-message count, and the
+// output imbalance max_PE |out|·p/n.
+func (res *Result) absorb(st *core.Stats, outLen, msgsRecv int64, spec Spec) {
+	res.TotalNS = max(res.TotalNS, st.TotalNS)
+	for ph := range res.PhaseNS {
+		res.PhaseNS[ph] = max(res.PhaseNS[ph], st.PhaseNS[ph])
 	}
-	for lv := range st {
-		for ph := 0; ph < int(core.NumPhases); ph++ {
-			if st[lv][ph] > agg[lv][ph] {
-				agg[lv][ph] = st[lv][ph]
-			}
+	for len(res.LevelPhaseNS) < len(st.LevelPhaseNS) {
+		res.LevelPhaseNS = append(res.LevelPhaseNS, [core.NumPhases]int64{})
+	}
+	for lv, row := range st.LevelPhaseNS {
+		for ph := range row {
+			res.LevelPhaseNS[lv][ph] = max(res.LevelPhaseNS[lv][ph], row[ph])
 		}
 	}
-	return agg
-}
-
-// RunNative executes and validates one run on the native backend (p
-// goroutines, real data movement, no virtual time). It panics if the
-// output is not a globally sorted permutation of the input.
-func RunNative(spec Spec) NativeResult {
-	m := native.New(spec.P)
-	var res NativeResult
-	outLens := make([]int64, spec.P)
-	allStats := make([]*core.Stats, spec.P)
-	// Generate inputs up front so the measured region is dominated by
-	// sorting, not by the workload generator.
-	locals := make([][]uint64, spec.P)
-	for rank := range locals {
-		locals[rank] = workload.Local(spec.Kind, spec.Seed, spec.P, spec.PerPE, rank)
-	}
-	dur := m.Run(func(c comm.Communicator) {
-		data := locals[c.Rank()]
-		inCount := int64(len(data))
-		out, st := runAlgo(c, spec, data)
-		allStats[c.Rank()] = st
-		outLens[c.Rank()] = int64(len(out))
-		validate(c, inCount, out)
-	})
-	res.WallNS = dur.Nanoseconds()
-
-	for rank := 0; rank < spec.P; rank++ {
-		res.absorb(allStats[rank], outLens[rank], spec)
-	}
-	return res
-}
-
-// absorb folds one rank's run outcome into the aggregate: per-phase and
-// total maxima over ranks, and the output imbalance max_PE |out|·p/n.
-func (res *NativeResult) absorb(st *core.Stats, outLen int64, spec Spec) {
-	if st.TotalNS > res.SortNS {
-		res.SortNS = st.TotalNS
-	}
-	for ph := 0; ph < int(core.NumPhases); ph++ {
-		if st.PhaseNS[ph] > res.PhaseNS[ph] {
-			res.PhaseNS[ph] = st.PhaseNS[ph]
-		}
-	}
-	res.LevelPhaseNS = maxLevels(res.LevelPhaseNS, st.LevelPhaseNS)
+	res.LevelImbalance = max(res.LevelImbalance, st.MaxImbalance)
+	res.MaxMsgsRecv = max(res.MaxMsgsRecv, msgsRecv)
 	if n := int64(spec.P) * int64(spec.PerPE); n > 0 {
-		imb := float64(outLen) * float64(spec.P) / float64(n)
-		if imb > res.OutImbalance {
-			res.OutImbalance = imb
-		}
+		res.OutImbalance = max(res.OutImbalance, float64(outLen)*float64(spec.P)/float64(n))
 	}
 }
 
-// RunReps runs the spec `reps` times with varied seeds.
-func RunReps(spec Spec, reps int, progress io.Writer) []Result {
+// runReps runs the spec `reps` times on the simulator with varied
+// seeds. The simulator is deterministic and its sorters are pinned by
+// the conformance suites, so a failed run is a bug: it panics.
+func runReps(spec Spec, reps int, progress io.Writer) []Result {
 	out := make([]Result, reps)
 	for i := 0; i < reps; i++ {
 		s := spec
@@ -357,7 +370,11 @@ func RunReps(spec Spec, reps int, progress io.Writer) []Result {
 			fmt.Fprintf(progress, "# %-9v p=%-6d n/p=%-7d k=%d rep %d/%d\n",
 				spec.Algo, spec.P, spec.PerPE, spec.Levels, i+1, reps)
 		}
-		out[i] = Run(s)
+		res, err := Run("sim", s)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = res
 	}
 	return out
 }

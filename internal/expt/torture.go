@@ -34,11 +34,9 @@ import (
 	"pmsort/internal/comm"
 	"pmsort/internal/core"
 	"pmsort/internal/delivery"
-	"pmsort/internal/native"
 	"pmsort/internal/netcomm"
 	"pmsort/internal/netfault"
 	"pmsort/internal/prng"
-	"pmsort/internal/sim"
 	"pmsort/internal/workload"
 )
 
@@ -377,7 +375,8 @@ func tortureDeliveryCheck[E any](tc TortureCase, locals [][]E) error {
 	runLeg := func(backend string) ([]rankResult, error) {
 		res := make([]rankResult, p)
 		var mu sync.Mutex
-		run := func(c comm.Communicator, rank int) {
+		err := tortureLeg(tc, backend, func(c comm.Communicator) {
+			rank := c.Rank()
 			batch := delivery.Deliver(c, cut(rank), opt)
 			sopt := opt
 			sopt.Batch = false
@@ -390,16 +389,7 @@ func tortureDeliveryCheck[E any](tc TortureCase, locals [][]E) error {
 			mu.Lock()
 			res[rank] = rankResult{batch: batch, stream: stream}
 			mu.Unlock()
-		}
-		var err error
-		switch backend {
-		case "sim":
-			sim.NewDefault(p).Run(func(pe *sim.PE) { run(sim.World(pe), pe.Rank()) })
-		case "native":
-			native.New(p).Run(func(c comm.Communicator) { run(c, c.Rank()) })
-		case "tcp":
-			err = tortureTCP(tc, p, run)
-		}
+		})
 		return res, err
 	}
 
@@ -453,40 +443,20 @@ func tortureBackendRun[E any](tc TortureCase, backend string, locals [][]E, less
 	}
 	outs := make([][]E, spec.P)
 	var mu sync.Mutex // guards outs writes from rank goroutines (tcp)
-	run := func(c comm.Communicator, rank int) {
-		cc := chaos.Wrap(c, ccfg)
-		out, _ := runAlgoE(cc, spec, append([]E(nil), locals[rank]...), less, key, coarse)
+	run := func(c comm.Communicator) {
+		out, _ := runAlgoE(chaos.Wrap(c, ccfg), spec, append([]E(nil), locals[c.Rank()]...), less, key, coarse)
 		mu.Lock()
-		outs[rank] = out
+		outs[c.Rank()] = out
 		mu.Unlock()
 	}
 
-	// Watchdog: a sorter that panics on SOME PEs while others block in
-	// Recv would wedge the in-process backends' Run (they join every PE
-	// goroutine before re-panicking), turning a failing case into a
-	// hang. Cases are tiny and deterministic — normal runs finish in
-	// milliseconds — so a generous deadline converts the wedge into the
-	// promised seed-naming error.
+	// Watchdog: a dying PE unwinds its peers (onBackend), but a sorter
+	// whose PEs all block in Recv on each other would wedge the leg,
+	// turning a failing case into a hang. Cases are tiny and
+	// deterministic — normal runs finish in milliseconds — so a generous
+	// deadline converts the wedge into the promised seed-naming error.
 	done := make(chan error, 1)
-	go func() {
-		var err error
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-			done <- err
-		}()
-		switch backend {
-		case "sim":
-			sim.NewDefault(spec.P).Run(func(pe *sim.PE) { run(sim.World(pe), pe.Rank()) })
-		case "native":
-			native.New(spec.P).Run(func(c comm.Communicator) { run(c, c.Rank()) })
-		case "tcp":
-			err = tortureTCP(tc, spec.P, run)
-		default:
-			err = fmt.Errorf("unknown backend %q", backend)
-		}
-	}()
+	go func() { done <- tortureLeg(tc, backend, run) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -505,19 +475,16 @@ func tortureBackendRun[E any](tc TortureCase, backend string, locals [][]E, less
 // slack covers race-instrumented CI and TCP rendezvous.
 const tortureDeadline = 2 * time.Minute
 
-// tortureTCP runs fn on an in-process TCP loopback cluster: one
-// netcomm.Machine per rank, real sockets in between. NetFault cases
-// wrap every rank's connections in a seeded injector with a mild
-// profile — every fault it fires must be survivable (stalls stay well
-// under the stall window, no resets), so the sort invariants still
-// hold; the heartbeat machinery runs alongside to prove liveness
-// monitoring does not perturb results.
-func tortureTCP(tc TortureCase, p int, fn func(c comm.Communicator, rank int)) error {
-	if !tc.NetFault {
-		return netcomm.LocalCluster(p, 30*time.Second, func(m *netcomm.Machine, rank int) error {
-			_, err := m.Run(func(c comm.Communicator) { fn(c, rank) })
-			return err
-		})
+// tortureLeg runs fn on every rank of one backend leg of the case. The
+// tcp leg of a NetFault case wraps every rank's connections in a seeded
+// injector with a mild profile — every fault it fires must be
+// survivable (stalls stay well under the stall window, no resets), so
+// the sort invariants still hold; the heartbeat machinery runs
+// alongside to prove liveness monitoring does not perturb results.
+func tortureLeg(tc TortureCase, backend string, fn func(c comm.Communicator)) error {
+	p := tc.Spec.P
+	if backend != "tcp" || !tc.NetFault {
+		return onBackend(backend, p, backendOpts{}, fn)
 	}
 	prof := netfault.Profile{
 		Latency:         50 * time.Microsecond,
@@ -532,16 +499,13 @@ func tortureTCP(tc TortureCase, p int, fn func(c comm.Communicator, rank int)) e
 		// the whole scenario a pure function of tc.Seed.
 		injs[rank] = netfault.New(tc.Seed^(uint64(rank+1)<<48), prof)
 	}
-	err := netcomm.LocalClusterOpts(p, 30*time.Second, func(rank int) netcomm.Options {
+	err := onBackend(backend, p, backendOpts{net: func(rank int) netcomm.Options {
 		return netcomm.Options{
 			HeartbeatInterval: 50 * time.Millisecond,
 			StallWindow:       20 * time.Second, // generous: injected stalls are 2ms
 			WrapConn:          injs[rank].Wrap,
 		}
-	}, func(m *netcomm.Machine, rank int) error {
-		_, err := m.Run(func(c comm.Communicator) { fn(c, rank) })
-		return err
-	})
+	}}, fn)
 	if err != nil {
 		return err
 	}

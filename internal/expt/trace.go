@@ -6,13 +6,8 @@ import (
 	"os"
 
 	"pmsort/internal/comm"
-	"pmsort/internal/native"
 	"pmsort/internal/obs"
-	"pmsort/internal/sim"
 )
-
-// TraceBackends names the backends a traced run can target.
-var TraceBackends = []string{"sim", "native", "tcp"}
 
 // writeTraceFiles validates the merged trace and writes the Chrome
 // trace-event JSON and/or the plain-text report (empty paths skipped).
@@ -51,17 +46,13 @@ func writeTraceFiles(trace *obs.Trace, tracePath, reportPath string) error {
 }
 
 // TraceRun executes one fully traced, validated sort on the chosen
-// backend ("sim", "native", or "tcp") and writes the merged multi-rank
-// trace: Chrome trace-event JSON (chrome://tracing / Perfetto) to
-// tracePath and/or the plain-text span/counter report to reportPath
-// ("-" for stdout; empty paths are skipped). The merged trace is
+// backend (see BackendNames) and writes the merged multi-rank trace: Chrome
+// trace-event JSON (chrome://tracing / Perfetto) to tracePath and/or the
+// plain-text span/counter report to reportPath ("-" for stdout; empty
+// paths are skipped). Rank 0 gathers the per-rank snapshots (clock-offset
+// aligned where ranks keep their own clocks); the merged trace is
 // schema-validated (every rank present exactly once, spans closed,
 // nested, and per-rank monotone) before anything is written.
-//
-// The tcp backend launches spec.P rank processes of this executable on
-// loopback (the caller must invoke MaybeRunTCPChild at startup); rank
-// 0 gathers the per-rank snapshots with clock-offset alignment and
-// writes the files itself.
 func TraceRun(spec Spec, backend, tracePath, reportPath string, progress io.Writer) error {
 	if tracePath == "" && reportPath == "" {
 		return fmt.Errorf("trace: need a -trace and/or -report output path")
@@ -71,31 +62,14 @@ func TraceRun(spec Spec, backend, tracePath, reportPath string, progress io.Writ
 			backend, spec.Algo, spec.P, spec.PerPE, spec.Levels)
 	}
 	var trace *obs.Trace
-	switch backend {
-	case "sim":
-		m := sim.NewDefault(spec.P)
-		m.EnableObs()
-		m.Run(func(pe *sim.PE) {
-			c := sim.World(pe)
-			RunOn(c, spec)
-			if t := obs.Gather(c, m.ObsRecorder(pe.Rank())); t != nil {
-				trace = t
-			}
-		})
-	case "native":
-		m := native.New(spec.P)
-		m.EnableObs()
-		m.Run(func(c comm.Communicator) {
-			RunOn(c, spec)
-			if t := obs.Gather(c, m.ObsRecorder(c.Rank())); t != nil {
-				trace = t
-			}
-		})
-	case "tcp":
-		_, err := RunTCPTraced(spec, tracePath, reportPath)
-		return err // rank 0 validated and wrote the files
-	default:
-		return fmt.Errorf("trace: unknown backend %q (want sim, native, or tcp)", backend)
+	err := onBackend(backend, spec.P, backendOpts{obs: true}, func(c comm.Communicator) {
+		RunOn(c, spec)
+		if t := obs.Gather(c, obs.From(c)); t != nil {
+			trace = t // rank 0 only
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	return writeTraceFiles(trace, tracePath, reportPath)
 }

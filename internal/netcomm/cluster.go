@@ -11,7 +11,7 @@ import (
 // binding ephemeral listeners and releasing them. The small window
 // before a cluster rebinds them is absorbed by the transport's bind
 // retry. It is the canonical port bring-up for every in-process or
-// launched loopback cluster (expt.RunTCP, sortnode -launch, the
+// launched loopback cluster (expt.Run on "tcp", sortnode -launch, the
 // degenerate-input and torture TCP test legs).
 func ReserveLoopbackAddrs(p int) ([]string, error) {
 	addrs := make([]string, p)

@@ -122,8 +122,11 @@ func TestStalledPeerFailsJobTypedAndRecovers(t *testing.T) {
 	if st.ErrorKind != "stalled" {
 		t.Fatalf("job failed with kind %q (%s), want stalled", st.ErrorKind, st.Error)
 	}
-	if st.ErrorRank != int64(p-1) {
-		t.Fatalf("failure attributed to rank %d, want %d", st.ErrorRank, p-1)
+	if st.ErrorRank == nil {
+		t.Fatalf("failure not attributed to any rank, want %d", p-1)
+	}
+	if *st.ErrorRank != int64(p-1) {
+		t.Fatalf("failure attributed to rank %d, want %d", *st.ErrorRank, p-1)
 	}
 	if elapsed > window+10*time.Second {
 		t.Fatalf("stall took %v to surface (window %v)", elapsed, window)

@@ -41,10 +41,11 @@ type JobStatus struct {
 	// ErrorKind classifies a failure: a transport error kind
 	// ("stalled", "reset", "hangup", "retired", "aborted") or
 	// "deadline"; empty for validation and sort errors. ErrorRank is
-	// the rank the failure is attributed to (omitted when none), and
-	// Attempts counts dispatches (>1 means the job was retried).
+	// the rank the failure is attributed to (nil and omitted when none —
+	// a pointer, so rank 0 is not mistaken for "no rank"), and Attempts
+	// counts dispatches (>1 means the job was retried).
 	ErrorKind string `json:"error_kind,omitempty"`
-	ErrorRank int64  `json:"error_rank,omitempty"`
+	ErrorRank *int64 `json:"error_rank,omitempty"`
 	Attempts  int    `json:"attempts,omitempty"`
 
 	Algo string `json:"algo"`
@@ -124,12 +125,9 @@ func (co *coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	ids := co.sortedJobIDs()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		co.mu.Lock()
-		j := co.jobs[id]
-		co.mu.Unlock()
+	jobs := co.sortedJobs()
+	out := make([]JobStatus, 0, len(jobs))
+	for _, j := range jobs {
 		st := co.statusOf(j)
 		st.Keys = nil // the listing stays light even with gathered jobs
 		out = append(out, st)
@@ -162,7 +160,8 @@ func (co *coordinator) statusOf(j *job) JobStatus {
 	if j.errKind != "" {
 		st.ErrorKind = j.errKind
 		if j.errPeer >= 0 {
-			st.ErrorRank = j.errPeer
+			peer := j.errPeer
+			st.ErrorRank = &peer
 		}
 	}
 	if !j.desc.Raw {

@@ -210,26 +210,6 @@ func estJobBytes(n int64, p int) int64 {
 	return 3 * 8 * (perPE + 1)
 }
 
-var algoByName = map[string]expt.Algo{
-	"ams":     expt.AMS,
-	"rlm":     expt.RLM,
-	"gv":      expt.GV,
-	"mp":      expt.MP,
-	"bitonic": expt.Bitonic,
-	"hist":    expt.Hist,
-	"hcq":     expt.HCQ,
-}
-
-var kindByName = map[string]workload.Kind{
-	"uniform":       workload.Uniform,
-	"skewed":        workload.Skewed,
-	"dup-heavy":     workload.DupHeavy,
-	"sorted":        workload.Sorted,
-	"reverse":       workload.Reverse,
-	"almost-sorted": workload.AlmostSorted,
-	"one-pe":        workload.OnePE,
-}
-
 // Serve runs the sort service on this rank until shutdown. Collective:
 // every rank of the communicator must call Serve; rank 0 additionally
 // serves HTTP on opt.Addr. Rank 0 returns when ctx is cancelled or a
@@ -252,7 +232,7 @@ func Serve(ctx context.Context, world comm.Communicator, opt Options) error {
 type job struct {
 	id    string
 	desc  ctlMsg
-	raw   []uint64 // raw-key input, scattered at dispatch
+	raw   []uint64 // raw-key input, scattered at dispatch; dropped on completion
 	est   int64    // admission-control memory estimate
 	state string   // StatusQueued … StatusFailed
 
@@ -278,6 +258,13 @@ type job struct {
 	abortPeer   int64
 	abortSent   bool // opAbort broadcast for the current epoch
 }
+
+// maxFinishedJobs bounds how many completed (done or failed) job
+// records — each holding up to ResultLimit gathered keys — the
+// coordinator keeps for GET /jobs/{id}; older ones answer 404. Queued
+// and running jobs are never evicted, and a Wait client holds its own
+// *job, so eviction cannot race its reply.
+const maxFinishedJobs = 256
 
 // Job states reported over HTTP.
 const (
@@ -309,6 +296,7 @@ type coordinator struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
 	jobs         map[string]*job
+	finished     []string // ids of completed jobs still in jobs, oldest first
 	queue        []*job
 	running      int
 	retryPending int // jobs parked in a retry-backoff timer
@@ -463,7 +451,7 @@ func (co *coordinator) buildDesc(req JobRequest) (ctlMsg, []uint64, int, string)
 	if desc.Algo == "" {
 		desc.Algo = "ams"
 	}
-	algo, ok := algoByName[desc.Algo]
+	algo, ok := expt.ParseAlgo(desc.Algo)
 	if !ok {
 		return desc, nil, http.StatusBadRequest, fmt.Sprintf("unknown algo %q", desc.Algo)
 	}
@@ -492,7 +480,7 @@ func (co *coordinator) buildDesc(req JobRequest) (ctlMsg, []uint64, int, string)
 	if desc.Kind == "" {
 		desc.Kind = "uniform"
 	}
-	if _, ok := kindByName[desc.Kind]; !ok {
+	if _, ok := workload.ParseKind(desc.Kind); !ok {
 		return desc, nil, http.StatusBadRequest, fmt.Sprintf("unknown kind %q", desc.Kind)
 	}
 	if req.N <= 0 {
@@ -766,6 +754,12 @@ func (co *coordinator) completeJob(j *job, out jobOutcome) {
 		j.errPeer = out.errPeer
 		co.met.failed++
 	}
+	j.raw = nil
+	co.finished = append(co.finished, j.id)
+	if len(co.finished) > maxFinishedJobs {
+		delete(co.jobs, co.finished[0])
+		co.finished = co.finished[1:]
+	}
 	co.cond.Broadcast()
 	co.mu.Unlock()
 	close(j.done)
@@ -976,6 +970,11 @@ func runLocal(world comm.Communicator, d ctlMsg, chunk0 []uint64) (res rankResul
 	rank, p := world.Rank(), world.Size()
 	jc := comm.WithTagOffset(world, jobOffset(d.Epoch))
 
+	// The coordinator validated both names at submission (buildDesc);
+	// raw jobs carry no kind and leave the zero value unused.
+	algo, _ := expt.ParseAlgo(d.Algo)
+	kind, _ := workload.ParseKind(d.Kind)
+
 	var data []uint64
 	switch {
 	case d.Raw && rank == 0:
@@ -984,15 +983,15 @@ func runLocal(world comm.Communicator, d ctlMsg, chunk0 []uint64) (res rankResul
 		pl, _ := jc.Recv(0, tagJobData)
 		data, _ = pl.([]uint64)
 	default:
-		data = workload.Local(kindByName[d.Kind], d.Seed, p, int(d.PerPE), rank)
+		data = workload.Local(kind, d.Seed, p, int(d.PerPE), rank)
 	}
 
 	spec := expt.Spec{
-		Algo:     algoByName[d.Algo],
+		Algo:     algo,
 		P:        p,
 		PerPE:    int(d.PerPE),
 		Levels:   int(d.Levels),
-		Kind:     kindByName[d.Kind],
+		Kind:     kind,
 		Seed:     d.Seed,
 		TieBreak: d.TieBreak,
 		Keyed:    d.Keyed,
@@ -1028,19 +1027,21 @@ func recoveredError(r any) error {
 	}
 }
 
-// sortedJobIDs returns the job IDs in submission order (for /jobs).
-func (co *coordinator) sortedJobIDs() []string {
+// sortedJobs returns the retained job records in submission order (for
+// /jobs) — the records, not their ids, so a concurrent eviction cannot
+// pull one out from under the listing.
+func (co *coordinator) sortedJobs() []*job {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	ids := make([]string, 0, len(co.jobs))
-	for id := range co.jobs {
-		ids = append(ids, id)
+	jobs := make([]*job, 0, len(co.jobs))
+	for _, j := range co.jobs {
+		jobs = append(jobs, j)
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		if len(ids[a]) != len(ids[b]) {
-			return len(ids[a]) < len(ids[b])
+	sort.Slice(jobs, func(a, b int) bool {
+		if len(jobs[a].id) != len(jobs[b].id) {
+			return len(jobs[a].id) < len(jobs[b].id)
 		}
-		return ids[a] < ids[b]
+		return jobs[a].id < jobs[b].id
 	})
-	return ids
+	return jobs
 }

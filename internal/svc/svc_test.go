@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -374,4 +376,85 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("unknown job: HTTP %d, want 404", resp.StatusCode)
 	}
 	shutdown(t, url, wait)
+}
+
+// testCoordinator is a coordinator with no mesh behind it: enough to
+// drive the job bookkeeping and the HTTP handlers directly.
+func testCoordinator() *coordinator {
+	co := &coordinator{jobs: make(map[string]*job)}
+	co.cond = sync.NewCond(&co.mu)
+	return co
+}
+
+// addRunning registers a job in the running state, as schedule leaves it.
+func (co *coordinator) addRunning(id string, raw []uint64) *job {
+	j := &job{id: id, state: StatusRunning, raw: raw, errPeer: -1, done: make(chan struct{})}
+	co.jobs[id] = j
+	co.running++
+	return j
+}
+
+// TestFinishedJobsAreEvicted pins the retention bound: the coordinator
+// keeps the most recent maxFinishedJobs completed records and nothing
+// older, drops a job's raw input when it completes, and never evicts a
+// job that is still running.
+func TestFinishedJobsAreEvicted(t *testing.T) {
+	co := testCoordinator()
+	survivor := co.addRunning("running", nil)
+	const extra = 5
+	for i := 1; i <= maxFinishedJobs+extra; i++ {
+		j := co.addRunning("j"+strconv.Itoa(i), []uint64{3, 1, 2})
+		co.completeJob(j, jobOutcome{res: &Result{Count: 3}, errPeer: -1})
+		if j.raw != nil {
+			t.Fatalf("job %s still holds its raw input after completing", j.id)
+		}
+	}
+
+	get := func(path string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		co.handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr
+	}
+	var list []JobStatus
+	if err := json.Unmarshal(get("/jobs").Body.Bytes(), &list); err != nil {
+		t.Fatalf("decoding /jobs: %v", err)
+	}
+	finished := 0
+	for _, st := range list {
+		if st.Status == StatusDone || st.Status == StatusFailed {
+			finished++
+		}
+	}
+	if finished != maxFinishedJobs || len(list) != maxFinishedJobs+1 {
+		t.Fatalf("/jobs lists %d jobs, %d finished; want %d and %d", len(list), finished, maxFinishedJobs+1, maxFinishedJobs)
+	}
+	if code := get("/jobs/j1").Code; code != http.StatusNotFound {
+		t.Errorf("oldest finished job answers %d, want 404", code)
+	}
+	if code := get("/jobs/j" + strconv.Itoa(extra+1)).Code; code != http.StatusOK {
+		t.Errorf("oldest retained job answers %d, want 200", code)
+	}
+	if code := get("/jobs/" + survivor.id).Code; code != http.StatusOK {
+		t.Errorf("running job answers %d, want 200 — it was evicted", code)
+	}
+}
+
+// TestStatusErrorRank pins the wire form of the blamed rank: rank 0 is
+// reported as 0, "no rank" (-1) is omitted — the two used to serialize
+// identically.
+func TestStatusErrorRank(t *testing.T) {
+	co := testCoordinator()
+	for _, tc := range []struct {
+		peer int64
+		want string // the error_rank member, "" = absent
+	}{{0, `"error_rank":0`}, {3, `"error_rank":3`}, {-1, ""}} {
+		j := &job{id: "j1", state: StatusFailed, errMsg: "boom", errKind: "reset", errPeer: tc.peer}
+		body, err := json.Marshal(co.statusOf(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(body), `"error_rank"`); got != (tc.want != "") || !strings.Contains(string(body), tc.want) {
+			t.Errorf("peer %d: status %s, want member %q", tc.peer, body, tc.want)
+		}
+	}
 }

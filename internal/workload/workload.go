@@ -30,23 +30,30 @@ const (
 	OnePE
 )
 
+// kindByName is the one name table of the distributions: the CLIs, the
+// job API, and String all read it.
+var kindByName = map[string]Kind{
+	"uniform":       Uniform,
+	"skewed":        Skewed,
+	"dup-heavy":     DupHeavy,
+	"sorted":        Sorted,
+	"reverse":       Reverse,
+	"almost-sorted": AlmostSorted,
+	"one-pe":        OnePE,
+}
+
+// ParseKind maps a distribution name (as printed by String) to its Kind.
+func ParseKind(name string) (Kind, bool) {
+	k, ok := kindByName[name]
+	return k, ok
+}
+
 // String names the distribution.
 func (k Kind) String() string {
-	switch k {
-	case Uniform:
-		return "uniform"
-	case Skewed:
-		return "skewed"
-	case DupHeavy:
-		return "dup-heavy"
-	case Sorted:
-		return "sorted"
-	case Reverse:
-		return "reverse"
-	case AlmostSorted:
-		return "almost-sorted"
-	case OnePE:
-		return "one-pe"
+	for name, v := range kindByName {
+		if v == k {
+			return name
+		}
 	}
 	return "invalid"
 }

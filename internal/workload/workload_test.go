@@ -109,3 +109,17 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+func TestParseKindRoundTrips(t *testing.T) {
+	for _, k := range []Kind{Uniform, Skewed, DupHeavy, Sorted, Reverse, AlmostSorted, OnePE} {
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	if _, ok := ParseKind("gaussian"); ok {
+		t.Errorf("ParseKind accepted an unknown name")
+	}
+	if s := Kind(99).String(); s != "invalid" {
+		t.Errorf("Kind(99).String() = %q", s)
+	}
+}
