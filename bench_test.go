@@ -333,7 +333,7 @@ func BenchmarkWorkloads(b *testing.B) {
 	for _, kind := range []workload.Kind{workload.Uniform, workload.Skewed, workload.DupHeavy, workload.Sorted} {
 		b.Run(kind.String(), func(b *testing.B) {
 			benchRun(b, expt.Spec{Algo: expt.AMS, P: 64, PerPE: 5_000, Levels: 2, Seed: 10,
-				Kind: kind, TieBreak: true})
+				Kind: kind})
 		})
 	}
 }

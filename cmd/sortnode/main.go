@@ -60,7 +60,6 @@ func main() {
 		n        = flag.Int("n", 100_000, "elements per rank (one-pe: per rank of the total, all placed on rank 0)")
 		levels   = flag.Int("levels", 2, "recursion levels k for ams/rlm")
 		seed     = flag.Uint64("seed", 42, "workload and algorithm seed")
-		tieBreak = flag.Bool("tiebreak", true, "enable implicit (PE, position) tie-breaking (ams)")
 		outPath  = flag.String("out", "", "write this rank's sorted output as little-endian uint64s to this file")
 		quiet    = flag.Bool("quiet", false, "suppress the per-rank summary line")
 
@@ -105,13 +104,12 @@ func main() {
 	}
 
 	spec := expt.Spec{
-		Algo:     algo,
-		P:        len(peers),
-		PerPE:    *n,
-		Levels:   *levels,
-		Kind:     kind,
-		Seed:     *seed,
-		TieBreak: *tieBreak,
+		Algo:   algo,
+		P:      len(peers),
+		PerPE:  *n,
+		Levels: *levels,
+		Kind:   kind,
+		Seed:   *seed,
 	}
 
 	cl, err := pmsort.NewTCPOpts(*rank, peers, pmsort.TCPOptions{RendezvousTimeout: *rendezvous})

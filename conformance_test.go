@@ -21,7 +21,7 @@ type conformanceCase struct {
 func conformanceCases() []conformanceCase {
 	return []conformanceCase{
 		{"AMS", func(c Communicator, d []uint64) []uint64 {
-			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 11, TieBreak: true})
+			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 11})
 			return out
 		}},
 		{"RLM", func(c Communicator, d []uint64) []uint64 {
@@ -38,7 +38,7 @@ func conformanceCases() []conformanceCase {
 		// cross-backend identity, so prefix-on and prefix-off both hold
 		// byte identity across sim, native, and the TCP cluster.
 		{"AMS-noprefix", func(c Communicator, d []uint64) []uint64 {
-			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 11, TieBreak: true, NoPrefix: true})
+			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 11, NoPrefix: true})
 			return out
 		}},
 	}
@@ -188,7 +188,7 @@ func TestNilLocalInputs(t *testing.T) {
 		run  func(c Communicator, d []uint64) []uint64
 	}{
 		{"AMS", func(c Communicator, d []uint64) []uint64 {
-			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 5, TieBreak: true})
+			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 5})
 			return out
 		}},
 		{"RLM", func(c Communicator, d []uint64) []uint64 {
@@ -263,7 +263,7 @@ func TestNativeGloballySorted(t *testing.T) {
 	ncl := NewNative(p)
 	elapsed := ncl.Run(func(c Communicator) {
 		out, st := AMSSort(c, append([]uint64(nil), locals[c.Rank()]...), u64Less,
-			Config{Levels: 1, Seed: 7, TieBreak: true})
+			Config{Levels: 1, Seed: 7})
 		if st.TotalNS < 0 {
 			t.Errorf("PE %d: negative wall-clock total %d", c.Rank(), st.TotalNS)
 		}

@@ -1,8 +1,9 @@
 // MinuteSort-style record sorting — the Sort Benchmark workload the
 // paper compares against in §7.3 (TritonSort / Baidu-Sort): 100-byte
 // records with 10-byte random keys. Records are sorted by key with
-// 2-level AMS-sort using Appendix D tie-breaking (random 10-byte keys
-// collide rarely, but a production sorter cannot assume they never do).
+// 2-level AMS-sort, whose Appendix D tie-breaking is always on (random
+// 10-byte keys collide rarely, but a production sorter cannot assume
+// they never do).
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 			rng.Read(data[i].Payload[:8]) // a little entropy is enough
 		}
 		sorted, st := pmsort.AMSSort(pmsort.World(pe), data, recordLess,
-			pmsort.Config{Levels: 2, Seed: 1, TieBreak: true})
+			pmsort.Config{Levels: 2, Seed: 1})
 		outs[pe.Rank()] = sorted
 		if pe.Rank() == 0 {
 			stats = st

@@ -185,7 +185,7 @@ func runChaosSort(t *testing.T, backend string, seed uint64) ([][]uint64, *Audit
 		cc := Wrap(c, cfg)
 		out, _ := core.AMSSort(cc, append([]uint64(nil), locals[c.Rank()]...),
 			func(a, b uint64) bool { return a < b },
-			core.Config{Levels: 2, Seed: 11, TieBreak: true})
+			core.Config{Levels: 2, Seed: 11})
 		outs[c.Rank()] = out
 	}
 	switch backend {
@@ -212,7 +212,7 @@ func TestChaosSortTransparent(t *testing.T) {
 	native.New(p).Run(func(c comm.Communicator) {
 		out, _ := core.AMSSort(c, append([]uint64(nil), locals[c.Rank()]...),
 			func(a, b uint64) bool { return a < b },
-			core.Config{Levels: 2, Seed: 11, TieBreak: true})
+			core.Config{Levels: 2, Seed: 11})
 		plain[c.Rank()] = out
 	})
 	for _, backend := range []string{"native", "sim"} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"unsafe"
 
 	"pmsort/internal/coll"
@@ -272,7 +273,7 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 
 	// --- Phase: bucket processing --------------------------------------
 	cls := st.rec.StartLevel(obs.SpanClassify, level).N(int64(len(data)))
-	sizes, bounds := amsPartition(c, data, splitters, less, cfg, st)
+	sizes, bounds := amsPartition(c, data, splitters, less, st)
 	// The b·r-long bucket-size vectors are the one long reduction in
 	// AMS-sort; use the full-bandwidth algorithm where it applies.
 	globalSizes := coll.AllreduceSumI64(c, sizes)
@@ -436,13 +437,12 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	return amsLevel(sub, next, less, cfg, plan, level+1, stats, st)
 }
 
-// amsPartition classifies the local data into the b·r buckets (or the
-// 2(br-1)+1 buckets with equality buckets under Appendix D tie-breaking,
-// folded back to br-1 boundaries by (PE, position) comparison against the
-// splitter's tag) and reorders it bucket-contiguously *in place*
-// (seq.PartitionInPlace — the id scratch lives in st and is reused
-// across levels). It returns the local bucket sizes and boundaries.
-func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], less func(a, b E) bool, cfg Config, st *localScratch[E]) ([]int64, []int) {
+// amsPartition classifies the local data into the b·r buckets under
+// the implicit (PE, position) tie-breaking of Appendix D and reorders
+// it bucket-contiguously *in place* (the id scratch lives in st and is
+// reused across levels). It returns the local bucket sizes and
+// boundaries.
+func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], less func(a, b E) bool, st *localScratch[E]) ([]int64, []int) {
 	cost := c.Cost()
 	nb := len(splitters) + 1
 	if len(splitters) == 0 {
@@ -453,96 +453,86 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 	for i, s := range splitters {
 		keys[i] = s.key
 	}
-	// tieFix resolves an equality-bucket hit under Appendix-D
-	// tie-breaking: a binary search of the element's (PE, position) tag
-	// over the run of splitters sharing its key, which spreads duplicate
-	// keys across all their buckets. Only elements equal to a splitter
-	// pay it; the branchless descent handles everything else.
+	// tieFix is the Appendix-D fix-up: the element at position i equal
+	// to splitter key keys[j] goes after the splitters of j's equal-key
+	// run whose (PE, position) tags precede its own (me, i), so its
+	// bucket is the first run index whose tag is not below (me, i). me
+	// is fixed per call and every classification pass visits positions
+	// in increasing order, so that index only grows: one cursor per run
+	// (cur, live at the run's first index runLo), advanced past the tags
+	// below the current position, answers in O(1) amortised without a
+	// comparator call.
 	me := int32(c.Rank())
-	tLess := taggedLess(less)
-	tieFix := func(i int, x E, eq int) int {
-		k := keys[(eq-1)/2]
-		lo := seq.LowerBound(keys, k, less)
-		hi := seq.UpperBound(keys, k, less)
-		mine := tagged[E]{key: x, pe: me, idx: int32(i)}
-		return lo + seq.LowerBound(splitters[lo:hi], mine, tLess)
+	runLo := make([]int32, len(keys))
+	for j := 1; j < len(keys); j++ {
+		runLo[j] = int32(j)
+		if !less(keys[j-1], keys[j]) {
+			runLo[j] = runLo[j-1]
+		}
+	}
+	cur := slices.Clone(runLo)
+	tieFix := func(i, j int) int {
+		lo, pos := runLo[j], int32(i)
+		k := cur[lo]
+		for ; int(k) < len(keys) && runLo[k] == lo; k++ {
+			if s := &splitters[k]; s.pe > me || (s.pe == me && s.idx >= pos) {
+				break
+			}
+		}
+		cur[lo] = k
+		return int(k)
 	}
 
+	// A keyed run descends on its key (an exact prefix: equal prefixes
+	// mean equal keys), any other live prefix hook on its prefix.
+	pf, exact := st.prefix, false
+	if st.key != nil {
+		pf, exact = st.key, true
+	}
 	var bounds []int
 	var levels int
-	if st.key != nil && nb <= seq.MaxInPlaceBuckets {
-		// Keyed fast path: the descent runs on raw uint64 compares
-		// (seq.KeyedClassifier) with the classification loop inlined
-		// over the id scratch — the generic path's per-level closure
-		// calls are the single hottest cost of keyed AMS-sort. The
-		// classifications agree exactly with the generic classifier
-		// under the Config.Key contract.
-		skeys := make([]uint64, len(keys))
-		for i, k := range keys {
-			skeys[i] = st.key(k)
-		}
-		kc := seq.NewKeyedClassifier(skeys)
-		levels = kc.Levels()
-		if len(st.ids) < len(data) {
-			st.ids = make([]uint16, len(data))
-		}
-		if cfg.TieBreak {
-			seq.ClassifyKeyedEq(data, st.key, kc, st.ids, tieFix)
-		} else {
-			seq.ClassifyKeyed(data, st.key, kc, st.ids)
-		}
-		bounds = seq.PartitionInPlaceIDs(data, nb, st.ids[:len(data)])
-	} else if spfx := splitterPrefixes(keys, st); spfx != nil && nb <= seq.MaxInPlaceBuckets {
-		// Prefix fast path: the same branchless uint64 descent as the
-		// keyed classifier, over the splitters' prefixes. Only elements
-		// whose prefix collides with a splitter's ever touch the
-		// comparator: the fallback binary-searches the run of
-		// equal-prefix splitters (plus Appendix-D tie-breaking when
-		// enabled), reproducing the generic classifier's bucket exactly —
-		// for everything else a strict prefix inequality already decides
-		// the order under the Config.Prefix contract.
+	if spfx := splitterPrefixes(keys, pf); spfx != nil && nb <= seq.MaxInPlaceBuckets {
+		// The branchless uint64 descent over the splitters' prefixes.
+		// Only elements whose prefix collides with a splitter's leave it:
+		// a coarse prefix binary-searches the run of equal-prefix
+		// splitters with the comparator, and an element equal to a
+		// splitter key goes to the tie fix-up — for everything else a
+		// strict prefix inequality already decides the order.
 		pc := seq.NewPrefixClassifier(spfx)
 		levels = pc.Levels()
 		if len(st.ids) < len(data) {
 			st.ids = make([]uint16, len(data))
 		}
-		fallback := func(i, lo, hi int) int {
-			x := data[i]
-			b := lo + seq.UpperBound(keys[lo:hi], x, less)
-			if cfg.TieBreak && b > 0 && !less(keys[b-1], x) {
-				return tieFix(i, x, 2*(b-1)+1)
+		seq.ClassifyPrefixed(data, pf, pc, st.ids, func(i, lo, hi int) int {
+			if !exact {
+				x := data[i]
+				hi = lo + seq.UpperBound(keys[lo:hi], x, less)
+				if hi == 0 || less(keys[hi-1], x) {
+					return hi
+				}
 			}
-			return b
-		}
-		seq.ClassifyPrefixed(data, st.prefix, pc, st.ids, fallback)
+			return tieFix(i, hi-1)
+		})
 		bounds = seq.PartitionInPlaceIDs(data, nb, st.ids[:len(data)])
 	} else {
+		// The generic comparator tree: NoPrefix, element types without a
+		// prefix, and more buckets than the uint16 id scratch can name.
 		cls := seq.NewClassifier(keys, less)
 		levels = cls.Levels()
-		var bucketOf func(i int, x E) int
-		if cfg.TieBreak {
-			bucketOf = func(i int, x E) int {
-				eq := cls.BucketEq(x)
-				if eq%2 == 0 {
-					return eq / 2
-				}
-				return tieFix(i, x, eq)
-			}
-		} else {
-			bucketOf = func(_ int, x E) int { return cls.Bucket(x) }
-		}
-		idx := 0
+		i := 0
 		classify := func(x E) int {
-			bkt := bucketOf(idx, x)
-			idx++
-			return bkt
+			eq := cls.BucketEq(x)
+			if eq%2 == 1 {
+				eq = 2 * tieFix(i, eq/2)
+			}
+			i++
+			return eq / 2
 		}
 		if nb <= seq.MaxInPlaceBuckets {
 			bounds, st.ids = seq.PartitionInPlace(data, nb, classify, st.ids)
 		} else {
-			// More buckets than the uint16 id scratch can name (giant-p
-			// single-level sims): fall back to the out-of-place partition
-			// and copy back, keeping the in-place contract for callers.
+			// Giant-p single-level sims: partition out of place and copy
+			// back, keeping the in-place contract for callers.
 			parted, pbounds := seq.Partition(data, nb, classify)
 			copy(data, parted)
 			bounds = pbounds

@@ -107,10 +107,11 @@ type Config struct {
 	Delivery delivery.Options
 	// Seed drives sampling and all randomized subroutines.
 	Seed uint64
-	// TieBreak enables the implicit (PE, position) tie-breaking of
-	// Appendix D: equality buckets in the partitioner plus lexicographic
-	// comparisons only for elements equal to a splitter. Without it,
-	// heavily duplicated keys can defeat AMS-sort's balance guarantee.
+	// TieBreak is a no-op kept for source compatibility. AMS-sort always
+	// applies the implicit (PE, position) tie-breaking of Appendix D —
+	// elements equal to a splitter are spread over that key's buckets by
+	// their origin — because without it heavily duplicated keys defeat
+	// its balance guarantee.
 	TieBreak bool
 	// ParallelGrouping uses the parallelized optimal-L search of
 	// Appendix C instead of the sequential one.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -172,23 +173,70 @@ func TestRLMBalanceWithHeavyDuplicates(t *testing.T) {
 	}
 }
 
-// TestAMSTieBreakBalance: with Appendix D tie-breaking, AMS-sort keeps
-// its balance guarantee on duplicate-heavy inputs.
+// TestAMSTieBreakBalance: Appendix-D tie-breaking keeps AMS-sort's
+// balance guarantee on adversarial duplicate inputs, on every
+// classification path (keyed, derived prefix, coarse prefix, plain
+// comparator) and at one and two levels. The four paths must compute
+// the same bucket function — byte-identical per-PE outputs — and the
+// TieBreak field must be the no-op it is documented to be.
 func TestAMSTieBreakBalance(t *testing.T) {
+	const p, perPE = 16, 200
 	rng := rand.New(rand.NewSource(55))
-	p := 16
-	locals := uniformLocals(rng, p, 100, 2) // keys in {0,1}!
-	outs, stats := runSorter(p, locals, Config{Levels: 2, Seed: 11, TieBreak: true}, AMSSort[int])
-	checkSorted(t, locals, outs)
-	// Without equality splitting one group would get ~half of everything;
-	// with it every PE should stay within a reasonable factor of n/p.
-	for rank, o := range outs {
-		if len(o) > 3*100 {
-			t.Errorf("PE %d holds %d elements (n/p=100) — tie-breaking failed", rank, len(o))
-		}
+	inputs := map[string][][]int{
+		"all-equal": make([][]int, p),
+		"two-value": uniformLocals(rng, p, perPE, 2),
+		"16-key":    uniformLocals(rng, p, perPE, 16),
+		"plateaus":  make([][]int, p),
 	}
-	if stats[0].MaxImbalance > 3 {
-		t.Errorf("imbalance %f too high with tie-breaking", stats[0].MaxImbalance)
+	for r := 0; r < p; r++ {
+		eq, plat := make([]int, perPE), make([]int, perPE)
+		for j := range eq {
+			eq[j] = 7
+			plat[j] = (r*perPE + j) / 150 // sorted, plateaus straddling PEs
+		}
+		inputs["all-equal"][r], inputs["plateaus"][r] = eq, plat
+	}
+	hooks := []struct {
+		name string
+		cfg  Config
+	}{
+		{"key", Config{Key: func(x int) uint64 { return uint64(x) }}},
+		{"derived", Config{}},
+		{"coarse", Config{Prefix: func(x int) uint64 { return uint64(x) >> 2 }}},
+		{"noprefix", Config{NoPrefix: true}},
+	}
+	for name, locals := range inputs {
+		for _, levels := range []int{1, 2} {
+			var ref [][]int
+			for _, h := range hooks {
+				cfg := h.cfg
+				cfg.Levels, cfg.Seed = levels, 11
+				if levels == 2 {
+					cfg.Rs = []int{4, 4} // PlanLevels keeps p = 16 on one level
+				}
+				outs, stats := runSorter(p, locals, cfg, AMSSort[int])
+				checkSorted(t, locals, outs)
+				for rank, o := range outs {
+					if len(o) > 3*perPE {
+						t.Errorf("%s levels=%d %s: PE %d holds %d elements (n/p=%d)", name, levels, h.name, rank, len(o), perPE)
+					}
+				}
+				for rank, st := range stats {
+					if st.MaxImbalance > 3 {
+						t.Errorf("%s levels=%d %s: PE %d imbalance %.2f > 3", name, levels, h.name, rank, st.MaxImbalance)
+					}
+				}
+				if ref == nil {
+					ref = outs
+					cfg.TieBreak = !cfg.TieBreak
+					if off, _ := runSorter(p, locals, cfg, AMSSort[int]); !reflect.DeepEqual(off, outs) {
+						t.Errorf("%s levels=%d: Config.TieBreak changes the output", name, levels)
+					}
+				} else if !reflect.DeepEqual(outs, ref) {
+					t.Errorf("%s levels=%d: %s path output differs from %s", name, levels, h.name, hooks[0].name)
+				}
+			}
+		}
 	}
 }
 

@@ -95,18 +95,18 @@ func stringPrefix(s string) uint64 {
 	return p
 }
 
-// splitterPrefixes extracts the sorted splitter keys' prefixes for the
-// prefix classification path, or nil when the run has no live prefix
-// hook or the prefixes come out decreasing — possible only under a
-// hook that violates the contract (the splitter keys are sorted), in
-// which case the level falls back to the generic classifier.
-func splitterPrefixes[E any](keys []E, st *localScratch[E]) []uint64 {
-	if st.prefix == nil {
+// splitterPrefixes extracts the sorted splitter keys' prefixes under pf
+// for the uint64 classification path, or nil when pf is nil or the
+// prefixes come out decreasing — possible only under a hook that
+// violates the contract (the splitter keys are sorted), in which case
+// the level falls back to the generic classifier.
+func splitterPrefixes[E any](keys []E, pf func(E) uint64) []uint64 {
+	if pf == nil {
 		return nil
 	}
 	spfx := make([]uint64, len(keys))
 	for i, k := range keys {
-		spfx[i] = st.prefix(k)
+		spfx[i] = pf(k)
 		if i > 0 && spfx[i] < spfx[i-1] {
 			return nil
 		}

@@ -147,8 +147,7 @@ func TestPrefixGuardDropsContradictedHook(t *testing.T) {
 
 // TestPrefixPathByteIdentity: with a coarse non-injective hook on a
 // tie-revealing struct element, the prefix path must reproduce the
-// plain comparator path byte for byte — including under Appendix-D
-// tie-breaking and across multi-level plans.
+// plain comparator path byte for byte, across multi-level plans.
 func TestPrefixPathByteIdentity(t *testing.T) {
 	type kv struct{ K, V int }
 	kvLess := func(a, b kv) bool { return a.K < b.K }
@@ -176,26 +175,24 @@ func TestPrefixPathByteIdentity(t *testing.T) {
 		return outs
 	}
 
-	for _, tieBreak := range []bool{false, true} {
-		for _, levels := range []int{1, 2} {
-			base := Config{Levels: levels, Seed: 11, TieBreak: tieBreak}
-			for name, mk := range map[string]func(c *sim.PE, cfg Config) ([]kv, *Stats){
-				"ams": func(pe *sim.PE, cfg Config) ([]kv, *Stats) {
-					return AMSSort(sim.World(pe), append([]kv(nil), locals[pe.Rank()]...), kvLess, cfg)
-				},
-				"rlm": func(pe *sim.PE, cfg Config) ([]kv, *Stats) {
-					return RLMSort(sim.World(pe), append([]kv(nil), locals[pe.Rank()]...), kvLess, cfg)
-				},
-			} {
-				off := base
-				off.NoPrefix = true
-				on := base
-				on.Prefix = hook
-				plain := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, off) })
-				prefixed := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, on) })
-				if !reflect.DeepEqual(plain, prefixed) {
-					t.Fatalf("%s levels=%d tieBreak=%v: prefix path diverges from plain comparator path", name, levels, tieBreak)
-				}
+	for _, levels := range []int{1, 2} {
+		base := Config{Levels: levels, Seed: 11}
+		for name, mk := range map[string]func(c *sim.PE, cfg Config) ([]kv, *Stats){
+			"ams": func(pe *sim.PE, cfg Config) ([]kv, *Stats) {
+				return AMSSort(sim.World(pe), append([]kv(nil), locals[pe.Rank()]...), kvLess, cfg)
+			},
+			"rlm": func(pe *sim.PE, cfg Config) ([]kv, *Stats) {
+				return RLMSort(sim.World(pe), append([]kv(nil), locals[pe.Rank()]...), kvLess, cfg)
+			},
+		} {
+			off := base
+			off.NoPrefix = true
+			on := base
+			on.Prefix = hook
+			plain := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, off) })
+			prefixed := run(func(pe *sim.PE) ([]kv, *Stats) { return mk(pe, on) })
+			if !reflect.DeepEqual(plain, prefixed) {
+				t.Fatalf("%s levels=%d: prefix path diverges from plain comparator path", name, levels)
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestSortersQuick fuzzes whole-sorter configurations: random machine
-// sizes, data sizes, key ranges, level counts, delivery strategies and
-// tie-breaking, asserting the output contract every time.
+// sizes, data sizes, key ranges, level counts and delivery strategies,
+// asserting the output contract every time.
 func TestSortersQuick(t *testing.T) {
 	type params struct {
 		P        uint8
@@ -20,7 +20,6 @@ func TestSortersQuick(t *testing.T) {
 		KeyBits  uint8
 		Levels   uint8
 		Strategy uint8
-		TieBreak bool
 		RLM      bool
 		Seed     uint64
 	}
@@ -44,7 +43,6 @@ func TestSortersQuick(t *testing.T) {
 		cfg := Config{
 			Levels:   levels,
 			Seed:     pr.Seed,
-			TieBreak: pr.TieBreak,
 			Delivery: delivery.Options{Strategy: strat},
 		}
 		m := sim.NewDefault(p)

@@ -38,14 +38,13 @@ func TestRunValidatesAllAlgos(t *testing.T) {
 func TestRunWorkloadKinds(t *testing.T) {
 	for _, kind := range []workload.Kind{workload.Uniform, workload.Skewed, workload.Sorted,
 		workload.Reverse, workload.AlmostSorted, workload.OnePE} {
-		res := simRun(t, Spec{Algo: AMS, P: 8, PerPE: 50, Levels: 2, Seed: 6, Kind: kind, TieBreak: true})
+		res := simRun(t, Spec{Algo: AMS, P: 8, PerPE: 50, Levels: 2, Seed: 6, Kind: kind})
 		if res.TotalNS <= 0 {
 			t.Errorf("%v: no time elapsed", kind)
 		}
 	}
-	// DupHeavy without tie-breaking still sorts correctly (imbalance may
-	// be large); with tie-breaking it must stay balanced.
-	res := simRun(t, Spec{Algo: AMS, P: 8, PerPE: 50, Levels: 1, Seed: 6, Kind: workload.DupHeavy, TieBreak: true})
+	// DupHeavy stays balanced: AMS always breaks ties (App. D).
+	res := simRun(t, Spec{Algo: AMS, P: 8, PerPE: 50, Levels: 1, Seed: 6, Kind: workload.DupHeavy})
 	if res.OutImbalance > 3 {
 		t.Errorf("dup-heavy with tie-breaking: imbalance %f", res.OutImbalance)
 	}
@@ -180,7 +179,7 @@ func TestAlgoString(t *testing.T) {
 // the two ways a run can go wrong — an unknown backend, a rank that
 // dies — come back as errors instead of panics or hangs.
 func TestRunBackends(t *testing.T) {
-	spec := Spec{Algo: AMS, P: 20, PerPE: 200, Levels: 2, Seed: 11, Kind: workload.DupHeavy, TieBreak: true, Keyed: true}
+	spec := Spec{Algo: AMS, P: 20, PerPE: 200, Levels: 2, Seed: 11, Kind: workload.DupHeavy, Keyed: true}
 	results := make(map[string]Result)
 	for _, backend := range BackendNames {
 		res, err := Run(backend, spec)

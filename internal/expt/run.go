@@ -95,7 +95,6 @@ type Spec struct {
 	Oversampling  float64
 	Overpartition int
 	Delivery      delivery.Options
-	TieBreak      bool
 	// Keyed enables the ordered-key kernel fast path (Config.Key): the
 	// local sort phases run an in-place uint64 MSD radix sort instead
 	// of generic pdqsort. The harness supplies the identity key for its
@@ -142,7 +141,6 @@ func (spec Spec) config() core.Config {
 		Oversampling:  spec.Oversampling,
 		Overpartition: spec.Overpartition,
 		Seed:          spec.Seed,
-		TieBreak:      spec.TieBreak,
 		Delivery:      spec.Delivery,
 		NoPrefix:      spec.PrefixMode == PrefixOff,
 	}

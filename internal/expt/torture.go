@@ -131,9 +131,6 @@ func DeriveTorture(seed uint64) TortureCase {
 			Seed:          rng.Next(),
 			Oversampling:  oversampling[rng.Intn(len(oversampling))],
 			Overpartition: overpartition[rng.Intn(len(overpartition))],
-			// TieBreak is always on: the sweep includes duplicate-heavy
-			// inputs, where AMS's balance bound requires it (App. D).
-			TieBreak: true,
 			Delivery: delivery.Options{
 				Strategy: delivery.Strategy(rng.Intn(4)),
 				Exchange: delivery.Exchange(rng.Intn(2)),
@@ -559,7 +556,7 @@ func tortureCheck[E any](tc TortureCase, outs [][]E, n int64, inHash uint64, les
 	p := int64(tc.Spec.P)
 	switch tc.Spec.Algo {
 	case AMS:
-		// ε-style bound: with tie-breaking on, AMS keeps the largest
+		// ε-style bound: with Appendix-D tie-breaking, AMS keeps the largest
 		// output within a constant factor of n/p plus quantization slack
 		// (small n is dominated by per-level rounding).
 		if bound := (n/p)*5/2 + 64; maxOut > bound {

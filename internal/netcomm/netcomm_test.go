@@ -139,7 +139,7 @@ func TestTCPCollectives(t *testing.T) {
 // the root package's TCP conformance test.)
 func TestTCPSortMatchesNative(t *testing.T) {
 	const p, perPE = 4, 400
-	cfg := core.Config{Levels: 2, Seed: 11, TieBreak: true}
+	cfg := core.Config{Levels: 2, Seed: 11}
 	less := func(a, b uint64) bool { return a < b }
 
 	locals := make([][]uint64, p)

@@ -1,145 +1,23 @@
 package seq
 
-// KeyedClassifier is the uint64-key specialization of Classifier: the
-// same implicit-tree branchless descent, but on raw word compares
-// instead of per-level calls through a generic less closure — worth
-// ~4-5x on the partition phase, which the profile shows is the hot
-// loop of keyed AMS-sort. Classifications agree exactly with a
-// Classifier built from the same splitters under the Config.Key
-// contract (less(a,b) == key(a) < key(b)), which the keyed-vs-
-// comparator conformance sweeps assert continuously.
-type KeyedClassifier struct {
-	tree      []uint64 // 1-indexed; tree[0] unused
-	splitters []uint64
-	levels    int
-}
+// KeyedClassifier is the PrefixClassifier of a keyed run: under the
+// Config.Key contract (less(a,b) == key(a) < key(b)) a key is an
+// injective prefix, so keyed and prefix-cached runs descend the same
+// uint64 splitter tree.
+type KeyedClassifier = PrefixClassifier
 
 // NewKeyedClassifier builds a classifier from sorted splitter keys. At
 // least one splitter is required.
 func NewKeyedClassifier(splitters []uint64) *KeyedClassifier {
-	m := len(splitters)
-	if m == 0 {
-		panic("seq: NewKeyedClassifier with no splitters")
-	}
-	size, levels := 1, 0
-	for size-1 < m {
-		size <<= 1
-		levels++
-	}
-	c := &KeyedClassifier{
-		tree:      make([]uint64, size),
-		splitters: splitters,
-		levels:    levels,
-	}
-	// In-order assignment of the padded sorted splitter sequence, so the
-	// descent "go right iff k ≥ tree[node]" computes the rank — the same
-	// construction as the generic Classifier.
-	idx := 0
-	maxSplitter := splitters[m-1]
-	var assign func(node int)
-	assign = func(node int) {
-		if node >= size {
-			return
-		}
-		assign(2 * node)
-		if idx < m {
-			c.tree[node] = splitters[idx]
-		} else {
-			c.tree[node] = maxSplitter // padding
-		}
-		idx++
-		assign(2*node + 1)
-	}
-	assign(1)
-	return c
+	return NewPrefixClassifier(splitters)
 }
 
-// NumBuckets returns the number of range buckets (m+1).
-func (c *KeyedClassifier) NumBuckets() int { return len(c.splitters) + 1 }
-
-// Levels returns the number of tree levels descended per key.
-func (c *KeyedClassifier) Levels() int { return c.levels }
-
-// Bucket classifies k into 0..m: |{i : splitters[i] ≤ k}|.
-func (c *KeyedClassifier) Bucket(k uint64) int {
-	node := 1
-	for l := 0; l < c.levels; l++ {
-		node = step(c.tree, node, k)
-	}
-	b := node - len(c.tree)
-	if m := len(c.splitters); b > m {
-		// k ≥ max splitter walked past padding duplicates.
-		b = m
-	}
-	return b
-}
-
-// BucketEq classifies k into 2m+1 buckets with dedicated equality
-// buckets (App. D), like Classifier.BucketEq.
-func (c *KeyedClassifier) BucketEq(k uint64) int {
-	b := c.Bucket(k)
-	if b > 0 && c.splitters[b-1] == k {
-		return 2*(b-1) + 1
-	}
-	return 2 * b
-}
-
-// step is one branchless tree-descent level: go right iff k ≥ the
-// node's splitter (compiles to a flag-set, not a branch, so random
-// keys cost no mispredictions).
-func step(tree []uint64, n int, k uint64) int {
-	ge := 0
-	if k >= tree[n] {
-		ge = 1
-	}
-	return 2*n + ge
-}
-
-// ClassifyKeyed fills ids[i] with the bucket of key(data[i]) — the
-// classification pass of the keyed partition fast path, feeding
-// PartitionInPlaceIDs. ids must have len(data) capacity.
-//
-// The tree is perfect (padded to a power of two), so every descent
-// takes exactly Levels steps; four elements descend in lockstep so the
-// four independent compare chains overlap in flight — the super scalar
-// sample sort argument (paper §2.2), here applied for real rather than
-// only in the cost model.
+// ClassifyKeyed fills ids[i] with the bucket of key(data[i]),
+// |{j : splitters[j] ≤ key(data[i])}| — Classifier.Bucket on raw word
+// compares, feeding PartitionInPlaceIDs. ids must have len(data)
+// capacity.
 func ClassifyKeyed[E any](data []E, key func(E) uint64, kc *KeyedClassifier, ids []uint16) {
-	tree, levels := kc.tree, kc.levels
-	size, m := len(tree), len(kc.splitters)
-	n := len(data)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		k0, k1, k2, k3 := key(data[i]), key(data[i+1]), key(data[i+2]), key(data[i+3])
-		n0, n1, n2, n3 := 1, 1, 1, 1
-		for l := 0; l < levels; l++ {
-			n0 = step(tree, n0, k0)
-			n1 = step(tree, n1, k1)
-			n2 = step(tree, n2, k2)
-			n3 = step(tree, n3, k3)
-		}
-		ids[i] = uint16(min(n0-size, m))
-		ids[i+1] = uint16(min(n1-size, m))
-		ids[i+2] = uint16(min(n2-size, m))
-		ids[i+3] = uint16(min(n3-size, m))
-	}
-	for ; i < n; i++ {
-		ids[i] = uint16(kc.Bucket(key(data[i])))
-	}
-}
-
-// ClassifyKeyedEq is the Appendix-D tie-breaking variant: keys landing
-// in an equality bucket (eq odd, meaning key(x) equals a splitter key)
-// are resolved by fix(i, x, eq), which typically binary-searches the
-// element's (PE, position) tag over the run of splitters sharing the
-// key; everything else maps to eq/2 directly.
-func ClassifyKeyedEq[E any](data []E, key func(E) uint64, kc *KeyedClassifier, ids []uint16, fix func(i int, x E, eq int) int) {
-	for i, x := range data {
-		eq := kc.BucketEq(key(x))
-		b := eq / 2
-		if eq&1 == 1 {
-			b = fix(i, x, eq)
-		}
-		ids[i] = uint16(b)
-	}
+	// The equal-key splitter run [lo, hi) sits at or below the key, so
+	// the bucket is hi.
+	ClassifyPrefixed(data, key, kc, ids, func(_, _, hi int) int { return hi })
 }

@@ -8,12 +8,17 @@ import (
 
 func u64less(a, b uint64) bool { return a < b }
 
-// TestKeyedClassifierMatchesGeneric pins the keyed classifier against
-// the generic one on random splitter sets (with duplicates): under the
-// Config.Key contract the two must classify every key identically —
-// both the plain buckets and the Appendix-D equality buckets.
+// TestKeyedClassifierMatchesGeneric pins ClassifyKeyed against the
+// generic Classifier.Bucket on random splitter sets with duplicates:
+// under the Config.Key contract the two must classify every key
+// identically, including keys equal to a splitter run.
 func TestKeyedClassifierMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	keys := make([]uint64, 45)
+	for k := range keys {
+		keys[k] = uint64(k)
+	}
+	ids := make([]uint16, len(keys))
 	for trial := 0; trial < 50; trial++ {
 		m := 1 + rng.Intn(70)
 		splitters := make([]uint64, m)
@@ -27,12 +32,10 @@ func TestKeyedClassifierMatchesGeneric(t *testing.T) {
 			t.Fatalf("shape mismatch: %d/%d buckets, %d/%d levels",
 				gen.NumBuckets(), key.NumBuckets(), gen.Levels(), key.Levels())
 		}
-		for k := uint64(0); k < 45; k++ {
-			if g, kk := gen.Bucket(k), key.Bucket(k); g != kk {
+		ClassifyKeyed(keys, func(x uint64) uint64 { return x }, key, ids)
+		for _, k := range keys {
+			if g, kk := gen.Bucket(k), int(ids[k]); g != kk {
 				t.Fatalf("trial %d: Bucket(%d) = %d generic, %d keyed (splitters %v)", trial, k, g, kk, splitters)
-			}
-			if g, kk := gen.BucketEq(k), key.BucketEq(k); g != kk {
-				t.Fatalf("trial %d: BucketEq(%d) = %d generic, %d keyed", trial, k, g, kk)
 			}
 		}
 	}
@@ -73,30 +76,6 @@ func TestClassifyKeyedMatchesPartitionInPlace(t *testing.T) {
 			if !reflect.DeepEqual(rb, gb) {
 				t.Fatalf("n=%d bucket %d: %v != %v", n, b, gb, rb)
 			}
-		}
-	}
-}
-
-// TestClassifyKeyedEqFix pins the equality-bucket callback: keys equal
-// to a splitter go through fix, everything else maps directly.
-func TestClassifyKeyedEqFix(t *testing.T) {
-	splitters := []uint64{10, 20, 20, 30}
-	kc := NewKeyedClassifier(splitters)
-	data := []uint64{5, 10, 15, 20, 25, 30, 35}
-	ids := make([]uint16, len(data))
-	var fixed []uint64
-	ClassifyKeyedEq(data, func(x uint64) uint64 { return x }, kc, ids, func(i int, x uint64, eq int) int {
-		fixed = append(fixed, x)
-		return eq / 2 // resolve "equal" to the bucket left of the splitter run end
-	})
-	if want := []uint64{10, 20, 30}; !reflect.DeepEqual(fixed, want) {
-		t.Fatalf("fix saw %v, want the splitter-equal keys %v", fixed, want)
-	}
-	for i, x := range data {
-		eq := kc.BucketEq(x)
-		want := eq / 2
-		if int(ids[i]) != want {
-			t.Fatalf("ids[%d] = %d for key %d, want %d", i, ids[i], x, want)
 		}
 	}
 }

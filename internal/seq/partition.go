@@ -19,41 +19,39 @@ type Classifier[E any] struct {
 // NewClassifier builds a classifier from sorted splitters. At least one
 // splitter is required.
 func NewClassifier[E any](splitters []E, less func(a, b E) bool) *Classifier[E] {
-	m := len(splitters)
-	if m == 0 {
+	if len(splitters) == 0 {
 		panic("seq: NewClassifier with no splitters")
 	}
-	size, levels := 1, 0
+	tree, levels := implicitTree(splitters)
+	return &Classifier[E]{tree: tree, splitters: splitters, levels: levels, less: less}
+}
+
+// implicitTree lays sorted splitters out as the implicit perfect search
+// tree of Classifier and PrefixClassifier (1-indexed, tree[0] unused):
+// the padded splitter sequence is assigned in-order — padding repeats
+// the largest splitter — so that the descent "go right iff x ≥
+// tree[node]" computes the rank in exactly levels steps.
+func implicitTree[T any](splitters []T) (tree []T, levels int) {
+	m := len(splitters)
+	size := 1
 	for size-1 < m {
 		size <<= 1
 		levels++
 	}
-	c := &Classifier[E]{
-		tree:      make([]E, size),
-		splitters: splitters,
-		levels:    levels,
-		less:      less,
-	}
-	// Assign the padded sorted splitter sequence to the tree in-order, so
-	// that the descent "go right iff x ≥ tree[node]" computes the rank.
+	tree = make([]T, size)
 	idx := 0
-	maxSplitter := splitters[m-1]
 	var assign func(node int)
 	assign = func(node int) {
 		if node >= size {
 			return
 		}
 		assign(2 * node)
-		if idx < m {
-			c.tree[node] = splitters[idx]
-		} else {
-			c.tree[node] = maxSplitter // padding
-		}
+		tree[node] = splitters[min(idx, m-1)]
 		idx++
 		assign(2*node + 1)
 	}
 	assign(1)
-	return c
+	return tree, levels
 }
 
 // NumBuckets returns the number of range buckets (m+1).

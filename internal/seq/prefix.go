@@ -294,14 +294,15 @@ func SortPrefixedOps(n int64) int64 {
 	return 11 * n
 }
 
-// PrefixClassifier is the prefix sibling of KeyedClassifier: the same
-// implicit-tree branchless uint64 descent, built over the splitters'
-// prefixes. Because prefixes need not be injective, an element whose
-// prefix equals some splitter prefix cannot be placed by the descent
-// alone — the caller resolves it over the run of equal-prefix splitters
-// (ClassifyPrefixed's fallback). Everything else never touches the
-// comparator: under the prefix contract, a strict prefix inequality
-// decides the element order.
+// PrefixClassifier is the uint64 specialization of Classifier: the same
+// implicit-tree branchless descent, built over the splitters' prefixes
+// (or keys: KeyedClassifier), on raw word compares instead of per-level
+// calls through a generic less closure. Because prefixes need not be
+// injective, an element whose prefix equals some splitter prefix cannot
+// be placed by the descent alone — the caller resolves it over the run
+// of equal-prefix splitters (ClassifyPrefixed's fallback). Everything
+// else never touches the comparator: under the prefix contract, a
+// strict prefix inequality decides the element order.
 type PrefixClassifier struct {
 	tree     []uint64 // 1-indexed; tree[0] unused
 	spfx     []uint64 // sorted splitter prefixes
@@ -317,17 +318,8 @@ func NewPrefixClassifier(spfx []uint64) *PrefixClassifier {
 	if m == 0 {
 		panic("seq: NewPrefixClassifier with no splitters")
 	}
-	size, levels := 1, 0
-	for size-1 < m {
-		size <<= 1
-		levels++
-	}
-	c := &PrefixClassifier{
-		tree:     make([]uint64, size),
-		spfx:     spfx,
-		runStart: make([]int32, m),
-		levels:   levels,
-	}
+	c := &PrefixClassifier{spfx: spfx, runStart: make([]int32, m)}
+	c.tree, c.levels = implicitTree(spfx)
 	for i := 1; i < m; i++ {
 		if spfx[i] == spfx[i-1] {
 			c.runStart[i] = c.runStart[i-1]
@@ -335,23 +327,6 @@ func NewPrefixClassifier(spfx []uint64) *PrefixClassifier {
 			c.runStart[i] = int32(i)
 		}
 	}
-	idx := 0
-	maxSplitter := spfx[m-1]
-	var assign func(node int)
-	assign = func(node int) {
-		if node >= size {
-			return
-		}
-		assign(2 * node)
-		if idx < m {
-			c.tree[node] = spfx[idx]
-		} else {
-			c.tree[node] = maxSplitter // padding
-		}
-		idx++
-		assign(2*node + 1)
-	}
-	assign(1)
 	return c
 }
 
@@ -374,14 +349,31 @@ func (c *PrefixClassifier) bucket(k uint64) int {
 	return b
 }
 
+// step is one branchless tree-descent level: go right iff k ≥ the
+// node's splitter (compiles to a flag-set, not a branch, so random
+// keys cost no mispredictions).
+func step(tree []uint64, n int, k uint64) int {
+	ge := 0
+	if k >= tree[n] {
+		ge = 1
+	}
+	return 2*n + ge
+}
+
 // ClassifyPrefixed fills ids[i] with the bucket of data[i], descending
-// on cached prefixes with the same 4-way unrolled lockstep loop as
-// ClassifyKeyed. Elements whose prefix collides with a splitter prefix
+// on its prefix. Elements whose prefix collides with a splitter prefix
 // — the only ones whose bucket the descent cannot decide — are resolved
 // by fallback(i, lo, hi), which receives the index range [lo, hi) of
 // the splitters sharing the element's prefix and returns the element's
 // bucket in 0..m (typically a comparator binary search over that run,
-// plus tie-breaking). ids must have len(data) capacity.
+// plus tie-breaking). fallback sees the positions i in increasing
+// order. ids must have len(data) capacity.
+//
+// The tree is perfect (padded to a power of two), so every descent
+// takes exactly Levels steps; four elements descend in lockstep so the
+// four independent compare chains overlap in flight — the super scalar
+// sample sort argument (paper §2.2), here applied for real rather than
+// only in the cost model.
 func ClassifyPrefixed[E any](data []E, prefix func(E) uint64, pc *PrefixClassifier, ids []uint16, fallback func(i, lo, hi int) int) {
 	tree, levels := pc.tree, pc.levels
 	size, m := len(tree), len(pc.spfx)

@@ -13,13 +13,12 @@ import (
 // Wait=true makes the request block until the job completes and return
 // its final status (including the sorted keys for gathered jobs).
 type JobRequest struct {
-	Algo     string `json:"algo,omitempty"`     // ams (default), rlm, gv, mp, bitonic, hist, hcq
-	Kind     string `json:"kind,omitempty"`     // uniform (default), skewed, dup-heavy, …
-	N        int64  `json:"n,omitempty"`        // total elements across ranks
-	Seed     uint64 `json:"seed,omitempty"`     // workload generator seed
-	Levels   int    `json:"levels,omitempty"`   // recursion levels (default 1)
-	TieBreak *bool  `json:"tiebreak,omitempty"` // default true
-	Keyed    *bool  `json:"keyed,omitempty"`    // radix fast path, default true
+	Algo   string `json:"algo,omitempty"`   // ams (default), rlm, gv, mp, bitonic, hist, hcq
+	Kind   string `json:"kind,omitempty"`   // uniform (default), skewed, dup-heavy, …
+	N      int64  `json:"n,omitempty"`      // total elements across ranks
+	Seed   uint64 `json:"seed,omitempty"`   // workload generator seed
+	Levels int    `json:"levels,omitempty"` // recursion levels (default 1)
+	Keyed  *bool  `json:"keyed,omitempty"`  // radix fast path, default true
 
 	Keys []uint64 `json:"keys,omitempty"` // raw input; returned sorted
 	Wait bool     `json:"wait,omitempty"`

@@ -102,19 +102,18 @@ type meshComm interface {
 // ctlMsg is the coordinator→worker control message: a job descriptor
 // (opJob) or the shutdown notice (opShutdown). Wire-registered.
 type ctlMsg struct {
-	Op       int64
-	ID       string
-	Epoch    int64
-	Algo     string
-	Kind     string
-	PerPE    int64 // workload jobs: elements generated per rank
-	NTotal   int64 // total elements across ranks (raw: len(keys))
-	Seed     uint64
-	Levels   int64
-	TieBreak bool
-	Keyed    bool
-	Raw      bool // input arrives via tagJobData instead of the generator
-	Gather   bool // ship the sorted local output back to rank 0
+	Op     int64
+	ID     string
+	Epoch  int64
+	Algo   string
+	Kind   string
+	PerPE  int64 // workload jobs: elements generated per rank
+	NTotal int64 // total elements across ranks (raw: len(keys))
+	Seed   uint64
+	Levels int64
+	Keyed  bool
+	Raw    bool // input arrives via tagJobData instead of the generator
+	Gather bool // ship the sorted local output back to rank 0
 }
 
 // rankResult is one rank's outcome of one job, sent to rank 0 over the
@@ -464,7 +463,6 @@ func (co *coordinator) buildDesc(req JobRequest) (ctlMsg, []uint64, int, string)
 		desc.Levels = 1
 	}
 	desc.Seed = req.Seed
-	desc.TieBreak = req.TieBreak == nil || *req.TieBreak
 	desc.Keyed = req.Keyed == nil || *req.Keyed
 	if req.TimeoutMS < 0 {
 		return desc, nil, http.StatusBadRequest, "timeout_ms must be non-negative"
@@ -987,14 +985,13 @@ func runLocal(world comm.Communicator, d ctlMsg, chunk0 []uint64) (res rankResul
 	}
 
 	spec := expt.Spec{
-		Algo:     algo,
-		P:        p,
-		PerPE:    int(d.PerPE),
-		Levels:   int(d.Levels),
-		Kind:     kind,
-		Seed:     d.Seed,
-		TieBreak: d.TieBreak,
-		Keyed:    d.Keyed,
+		Algo:   algo,
+		P:      p,
+		PerPE:  int(d.PerPE),
+		Levels: int(d.Levels),
+		Kind:   kind,
+		Seed:   d.Seed,
+		Keyed:  d.Keyed,
 	}
 	out, st := expt.RunData(jc, spec, data)
 

@@ -187,6 +187,19 @@ func TestRawKeysRoundTrip(t *testing.T) {
 	if !slices.Equal(st.Keys, want) {
 		t.Fatalf("raw job returned %v, want %v", st.Keys, want)
 	}
+	// The retired "tiebreak" field (AMS always breaks ties) is an
+	// unknown field now, which the decoder ignores: old clients work.
+	resp, err := http.Post(url+"/jobs", "application/json",
+		strings.NewReader(`{"keys":[3,1,2],"wait":true,"tiebreak":false}`))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var old JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&old); err != nil || resp.StatusCode != http.StatusOK ||
+		!slices.Equal(old.Keys, []uint64{1, 2, 3}) {
+		t.Fatalf("job with a tiebreak field: HTTP %d, %+v, %v", resp.StatusCode, old, err)
+	}
 	shutdown(t, url, wait)
 }
 

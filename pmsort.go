@@ -107,7 +107,7 @@ type (
 	// RunResult reports the virtual clocks after a Run.
 	RunResult = sim.RunResult
 	// Config tunes the sorting algorithms (levels, sampling factors,
-	// delivery strategy, tie-breaking, and the local-kernel fast paths:
+	// delivery strategy, and the local-kernel fast paths:
 	// set Key to a func(E) uint64 embedding the element order to switch
 	// the local sort phases to radix kernels, or — for comparator sorts
 	// — set Prefix to an order-preserving, not necessarily injective

@@ -57,7 +57,7 @@ func TestPrefixConformanceAllKinds(t *testing.T) {
 					for rank := range locals {
 						locals[rank] = workload.Local(kind, 77, p, perPE, rank)
 					}
-					base := Config{Levels: 2, Seed: 13, TieBreak: true}
+					base := Config{Levels: 2, Seed: 13}
 
 					run := func(cfg Config) [][]uint64 {
 						outs := make([][]uint64, p)
@@ -140,8 +140,8 @@ func TestPrefixConformanceStructTies(t *testing.T) {
 				})
 				return outs
 			}
-			plain := run(Config{Levels: 2, Seed: 17, TieBreak: true, NoPrefix: true})
-			prefixed := run(Config{Levels: 2, Seed: 17, TieBreak: true, Prefix: hook})
+			plain := run(Config{Levels: 2, Seed: 17, NoPrefix: true})
+			prefixed := run(Config{Levels: 2, Seed: 17, Prefix: hook})
 			if !reflect.DeepEqual(plain, prefixed) {
 				t.Fatalf("coarse struct prefix path diverges from plain comparator path")
 			}

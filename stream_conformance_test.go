@@ -26,7 +26,7 @@ func TestStreamedDeliveryConformance(t *testing.T) {
 					name := fmt.Sprintf("%s/keyed=%v/%v/%v", algo, keyed, strat, kind)
 					t.Run(name, func(t *testing.T) {
 						run := func(batch bool) [][]uint64 {
-							cfg := Config{Levels: 2, Seed: 99, TieBreak: true}
+							cfg := Config{Levels: 2, Seed: 99}
 							cfg.Delivery.Strategy = strat
 							cfg.Delivery.Exchange = DeliveryExchange(len(name) % 2)
 							cfg.Delivery.Batch = batch

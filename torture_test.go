@@ -122,13 +122,13 @@ func TestWrapChaosPublicAPI(t *testing.T) {
 	plain := make([][]uint64, p)
 	NewNative(p).Run(func(c Communicator) {
 		out, _ := AMSSort(c, append([]uint64(nil), locals[c.Rank()]...), u64Less,
-			Config{Levels: 2, Seed: 11, TieBreak: true})
+			Config{Levels: 2, Seed: 11})
 		plain[c.Rank()] = out
 	})
 	wrapped := make([][]uint64, p)
 	NewNative(p).Run(func(c Communicator) {
 		out, _ := AMSSort(WrapChaos(c, cfg), append([]uint64(nil), locals[c.Rank()]...), u64Less,
-			Config{Levels: 2, Seed: 11, TieBreak: true})
+			Config{Levels: 2, Seed: 11})
 		wrapped[c.Rank()] = out
 	})
 	for rank := range plain {
