@@ -105,9 +105,9 @@ func benchTCPSort(b *testing.B, p int, sort func(c Communicator, data []uint64))
 // BenchmarkTCPAMS is the headline distributed number: AMS-sort of 8 MB
 // of uint64 on a p=4 loopback cluster, across the three local-kernel
 // variants — keyed (Config.Key radix), cmp (plain comparator,
-// NoPrefix), and cmpprefix (comparator with the derived prefix cache,
-// the default for comparator sorts). The issue's acceptance gap is
-// cmpprefix vs keyed.
+// NoPrefix), and cmpprefix (comparator with the derived prefix, the
+// default for comparator sorts; for uint64 it is exact, so this variant
+// runs the keyed kernels too).
 func BenchmarkTCPAMS(b *testing.B) {
 	variants := []struct {
 		name string

@@ -32,11 +32,11 @@ func conformanceCases() []conformanceCase {
 			out, _ := GVSampleSort(c, d, u64Less, 11)
 			return out
 		}},
-		// The AMS and RLM cases above run the comparator path with the
-		// automatically derived prefix cache active (uint64 elements);
-		// this leg pins the plain comparator path (NoPrefix) to the same
-		// cross-backend identity, so prefix-on and prefix-off both hold
-		// byte identity across sim, native, and the TCP cluster.
+		// The AMS and RLM cases above run uint64 elements under the
+		// automatically derived hook, which is exact and takes the keyed
+		// kernels; this leg pins the plain comparator path (NoPrefix) to
+		// the same cross-backend identity, so hook-on and hook-off both
+		// hold byte identity across sim, native, and the TCP cluster.
 		{"AMS-noprefix", func(c Communicator, d []uint64) []uint64 {
 			out, _ := AMSSort(c, d, u64Less, Config{Levels: 2, Seed: 11, NoPrefix: true})
 			return out

@@ -50,16 +50,19 @@ func taggedLess[E any](less func(a, b E) bool) func(a, b tagged[E]) bool {
 //     passed, the previous level's buffer is referenced by no one and
 //     the next level may recycle it. Levels therefore ping-pong
 //     between two buffers per PE instead of allocating one per level.
-//   - pfx is the prefix sidecar / merge-staging arena of the prefix-
-//     cached comparator path (nil-prefix runs never touch it); like
-//     reuse it is dead between its level's consumers and recycled.
+//   - hook is the run's order hook (nil on the plain comparator path);
+//     exact runs (equal hook values mean order-equal elements) take the
+//     keyed kernels end to end, inexact ones the prefix-cached kernels;
+//   - pfx is the prefix sidecar / merge-staging arena of the hook
+//     paths; like reuse it is dead between its level's consumers and
+//     recycled.
 type localScratch[E any] struct {
-	key    func(E) uint64
-	prefix func(E) uint64
-	ids    []uint16
-	reuse  []E
-	pfx    []uint64
-	psc    seq.PrefixScratch[E]
+	hook  func(E) uint64
+	exact bool
+	ids   []uint16
+	reuse []E
+	pfx   []uint64
+	psc   seq.PrefixScratch[E]
 
 	// rec is the run's obs recorder (nil when tracing is off — every
 	// span call no-ops); eb is the element size for the PhaseBytes
@@ -79,16 +82,6 @@ func (st *localScratch[E]) grab(n int) []E {
 	return make([]E, 0, n)
 }
 
-// pfxGrab returns the recycled prefix sidecar as a zero-length slice
-// with capacity for n prefixes, so the per-chunk extraction appends
-// without a realloc chain (the sidecar sibling of grab+recvBound).
-func (st *localScratch[E]) pfxGrab(n int) []uint64 {
-	if cap(st.pfx) < n {
-		st.pfx = make([]uint64, 0, n)
-	}
-	return st.pfx[:0]
-}
-
 // retire records buf for recycling by a later grab, capacity-clamped
 // to its length: the consumed-input contract makes buf's *elements*
 // fair game, but a caller's slice may have spare capacity backed by
@@ -98,52 +91,44 @@ func (st *localScratch[E]) retire(buf []E) {
 	st.reuse = buf[:len(buf):len(buf)]
 }
 
-// sort runs the selected local kernel: in-place MSD radix when the run
-// is keyed (Config.Key), prefix-cached LSD radix when a prefix hook is
-// live, stable comparator sort otherwise. The comparator kernels at
-// merge-feeding sites are stable on purpose: with a stable baseline,
-// the prefix path's output is byte-identical to the plain path's even
-// on elements the comparator cannot tell apart (the keyed kernel stays
-// unstable — under the Key contract equal-key elements are
-// order-indistinguishable anyway).
-func (st *localScratch[E]) sort(data []E, less func(a, b E) bool) {
-	if st.key != nil {
-		seq.SortKeyedInPlace(data, st.key)
-		return
-	}
-	if st.prefix != nil {
-		st.pfx = seq.ExtractPrefixes(st.pfx[:0], data, st.prefix)
-		seq.SortPrefixed(data, st.pfx, less, &st.psc)
-		return
-	}
-	seq.SortStable(data, less)
-}
-
-// sortCost charges the selected kernel's modeled cost for n elements:
-// the linear radix models when keyed or prefixed, the n·log n
-// comparison-sort model otherwise — so the simulated backend's virtual
-// time tracks the kernel that actually ran.
-func (st *localScratch[E]) sortCost(cost comm.Cost, n int64) {
-	if st.key != nil {
+// sort runs the selected local kernel and charges its modeled cost, so
+// the simulated backend's virtual time tracks the kernel that actually
+// ran: in-place MSD radix under an exact hook, prefix-cached LSD radix
+// under an inexact one, stable comparator sort otherwise. The
+// comparator kernels at merge-feeding sites are stable on purpose: with
+// a stable baseline, the prefix path's output is byte-identical to the
+// plain path's even on elements the comparator cannot tell apart (the
+// keyed kernel stays unstable — under an exact hook equal keys are
+// order-indistinguishable elements, or equal bytes when derived).
+func (st *localScratch[E]) sort(data []E, less func(a, b E) bool, cost comm.Cost) {
+	n := int64(len(data))
+	switch {
+	case st.exact:
+		seq.SortKeyedInPlace(data, st.hook)
 		cost.Ops(seq.SortKeyedOps(n))
-		return
-	}
-	if st.prefix != nil {
+	case st.hook != nil:
+		st.pfx = seq.ExtractPrefixes(st.pfx[:0], data, st.hook)
+		seq.SortPrefixed(data, st.pfx, less, &st.psc)
 		cost.Ops(seq.SortPrefixedOps(n))
-		return
+	default:
+		seq.SortStable(data, less)
+		cost.SortOps(n)
 	}
-	cost.SortOps(n)
 }
 
-// initScratch builds the run's scratch arena and resolves its kernel:
-// Config.Key wins, else a validated prefix hook that survives the
-// sampled entry guard arms the prefix-cached comparator kernels.
+// initScratch builds the run's scratch arena and resolves its order
+// hook: Config.Key (exact) wins, else a prefix hook — explicit or
+// derived, exact only for the derived integer cases — that survives the
+// sampled entry guard.
 func initScratch[E any](data []E, less func(a, b E) bool, cfg Config) *localScratch[E] {
-	st := &localScratch[E]{key: keyFor[E](cfg), eb: int64(unsafe.Sizeof(*new(E)))}
+	st := &localScratch[E]{eb: int64(unsafe.Sizeof(*new(E)))}
 	// prefixFor also validates an explicit Config.Prefix hook's type, so
-	// call it even on keyed runs (where the key kernel supersedes it).
-	if pf := prefixFor[E](cfg); st.key == nil && pf != nil && prefixGuard(data, less, pf) {
-		st.prefix = pf
+	// call it even on keyed runs (where the key supersedes it).
+	pf, exact := prefixFor[E](cfg)
+	if key, _ := cfg.Key.(func(E) uint64); key != nil {
+		st.hook, st.exact = key, true
+	} else if pf != nil && prefixGuard(data, less, pf) {
+		st.hook, st.exact = pf, exact
 	}
 	return st
 }
@@ -188,8 +173,7 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 		// Base case: sort locally (the "local sort" phase).
 		t0 := cost.Now()
 		sp := st.rec.StartLevel(obs.SpanLocalSort, level).N(int64(len(data)))
-		st.sort(data, less)
-		st.sortCost(cost, int64(len(data)))
+		st.sort(data, less, cost)
 		sp.End()
 		stats.addLevel(level, PhaseLocalSort, cost.Now()-t0)
 		stats.PhaseBytes[PhaseLocalSort] += int64(len(data)) * st.eb
@@ -304,14 +288,14 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// kernel (DESIGN.md §9). On the plain comparator path each outgoing
 	// piece is sorted now, so receivers multiway-merge sorted runs
 	// instead of re-sorting a concatenation from scratch ("we do not
-	// want to ignore the information already available", §5). The keyed
-	// and prefix-cached paths skip the piece sort: their stable radix
-	// over the received concatenation is linear, so pre-sorting pieces
-	// would only add work. The prefix path stays byte-identical to the
-	// merge shape — a stable sort of runs concatenated in sender-rank
-	// order IS the stable merge of those runs stably pre-sorted.
+	// want to ignore the information already available", §5). Runs with
+	// a hook skip the piece sort: their stable radix over the received
+	// concatenation is linear, so pre-sorting pieces would only add
+	// work. The prefix path stays byte-identical to the merge shape — a
+	// stable sort of runs concatenated in sender-rank order IS the
+	// stable merge of those runs stably pre-sorted.
 	last := r == c.Size()
-	plainLast := last && st.key == nil && st.prefix == nil
+	plainLast := last && st.hook == nil
 	cls.End()
 	var pieceSortNS int64
 	if plainLast {
@@ -366,33 +350,27 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 
 	// Concatenation shape: the received chunks are copied into the next
 	// level's buffer in rank order while the exchange is still running
-	// (streamConcat); at the keyed last level the copy loop also
-	// accumulates the radix histograms, so the final radix's counting
-	// pass overlaps the exchange too, and at the prefix-cached last
-	// level it extracts the arriving chunks' prefix sidecar the same
-	// way. (Under delivery's Options.Batch knob the chunks all arrive
-	// after the exchange, in rank order, and the same loop runs then —
+	// (streamConcat); at the last level under an exact hook the copy
+	// loop also accumulates the radix histograms, so the final radix's
+	// counting pass overlaps the exchange too, and under an inexact one
+	// it extracts the arriving chunks' prefix sidecar the same way.
+	// (Under delivery's Options.Batch knob the chunks all arrive after
+	// the exchange, in rank order, and the same loop runs then —
 	// byte-identical; asserted by the torture harness.)
-	var hkey, pf func(E) uint64
-	var hist *seq.KeyedHist
-	if last {
-		hkey = st.key
-		if hkey != nil {
-			hist = &seq.KeyedHist{}
-		} else {
-			pf = st.prefix
-		}
-	}
 	exch := st.rec.StartLevel(obs.SpanExchange, level)
 	bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
+	var hook func(E) uint64
+	var hist *seq.KeyedHist
 	var pfx []uint64
-	if pf != nil {
-		pfx = st.pfxGrab(bound)
+	if last && st.hook != nil {
+		hook = st.hook
+		if st.exact {
+			hist = &seq.KeyedHist{}
+		} else {
+			pfx = slices.Grow(st.pfx[:0], bound)
+		}
 	}
-	next, pfx := streamConcat(c, pieces, dopt, st.grab(bound), hkey, hist, pf, pfx)
-	if pf != nil {
-		st.pfx = pfx
-	}
+	next, pfx := streamConcat(c, pieces, dopt, st.grab(bound), hook, st.exact, hist, pfx)
 	total := len(next)
 	// data is dead once the barrier below has passed: every PE holding
 	// chunks into it has copied them out. Retire it for recycling.
@@ -405,24 +383,23 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 
 	if last {
 		// Fast-path last level: a stable radix sort of the concatenation
-		// is linear in total — no log k merge term. Keyed runs the LSD
-		// radix with its histograms already accumulated during the
-		// exchange and the retired level buffer as the ping-pong scratch
-		// (no copy-back: whichever buffer holds the result is returned,
-		// the other dies with the run); the prefix path runs the stable
-		// prefix radix over the sidecar extracted during the exchange,
-		// with the comparator deciding only equal-prefix runs.
+		// is linear in total — no log k merge term. An exact hook runs
+		// the LSD radix with its histograms already accumulated during
+		// the exchange and the retired level buffer as the ping-pong
+		// scratch (no copy-back: whichever buffer holds the result is
+		// returned, the other dies with the run); an inexact one runs the
+		// stable prefix radix over the sidecar extracted during the
+		// exchange, with the comparator deciding only equal-prefix runs.
 		t4 := cost.Now()
 		ls := st.rec.StartLevel(obs.SpanLocalSort, level).N(int64(total))
+		scratch := st.grab(total)
 		var sorted []E
-		if st.key != nil {
-			scratch := st.grab(total)
-			sorted, _ = seq.SortKeyedHist(next, st.key, scratch[:cap(scratch)], hist)
+		if st.exact {
+			sorted, _ = seq.SortKeyedHist(next, st.hook, scratch[:cap(scratch)], hist)
 			cost.Ops(seq.SortKeyedOps(int64(total)))
 		} else {
-			scratch := st.grab(total)
 			st.psc.Donate(scratch[:cap(scratch)])
-			seq.SortPrefixed(next, st.pfx, less, &st.psc)
+			seq.SortPrefixed(next, pfx, less, &st.psc)
 			cost.Ops(seq.SortPrefixedOps(int64(total)))
 			sorted = next
 		}
@@ -454,44 +431,50 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 		keys[i] = s.key
 	}
 	// tieFix is the Appendix-D fix-up: the element at position i equal
-	// to splitter key keys[j] goes after the splitters of j's equal-key
-	// run whose (PE, position) tags precede its own (me, i), so its
-	// bucket is the first run index whose tag is not below (me, i). me
-	// is fixed per call and every classification pass visits positions
-	// in increasing order, so that index only grows: one cursor per run
-	// (cur, live at the run's first index runLo), advanced past the tags
-	// below the current position, answers in O(1) amortised without a
-	// comparator call.
+	// to a splitter key goes after the splitters of that key's run
+	// whose (PE, position) tags precede its own (me, i). Inside a run
+	// the tags are sorted by (pe, idx), and every classification pass
+	// visits positions in increasing order, so lower-PE tags are passed
+	// at once and own tags one at a time as i grows (DESIGN.md §9). Each
+	// run, indexed by its first splitter runLo, keeps its current bucket
+	// ans and thr, the last position that leaves the tag at ans unpassed:
+	// one compare per element, no comparator call.
 	me := int32(c.Rank())
-	runLo := make([]int32, len(keys))
-	for j := 1; j < len(keys); j++ {
-		runLo[j] = int32(j)
-		if !less(keys[j-1], keys[j]) {
+	m := int32(len(keys))
+	runLo := make([]int32, m)
+	ans := make([]int32, m)
+	thr := make([]int32, m)
+	// thrOf: −1 for a lower-PE tag, an own tag's idx, MaxInt32 for a
+	// higher-PE tag or past the run's end.
+	thrOf := func(lo, k int32) int32 {
+		switch {
+		case k == m || runLo[k] != lo || splitters[k].pe > me:
+			return math.MaxInt32
+		case splitters[k].pe < me:
+			return -1
+		}
+		return splitters[k].idx
+	}
+	for j := int32(0); j < m; j++ {
+		runLo[j] = j
+		if j > 0 && !less(keys[j-1], keys[j]) {
 			runLo[j] = runLo[j-1]
 		}
-	}
-	cur := slices.Clone(runLo)
-	tieFix := func(i, j int) int {
-		lo, pos := runLo[j], int32(i)
-		k := cur[lo]
-		for ; int(k) < len(keys) && runLo[k] == lo; k++ {
-			if s := &splitters[k]; s.pe > me || (s.pe == me && s.idx >= pos) {
-				break
-			}
+		if runLo[j] == j {
+			ans[j], thr[j] = j, thrOf(j, j)
 		}
-		cur[lo] = k
-		return int(k)
+	}
+	tieFix := func(i int, lo int32) int {
+		for int32(i) > thr[lo] {
+			ans[lo]++
+			thr[lo] = thrOf(lo, ans[lo])
+		}
+		return int(ans[lo])
 	}
 
-	// A keyed run descends on its key (an exact prefix: equal prefixes
-	// mean equal keys), any other live prefix hook on its prefix.
-	pf, exact := st.prefix, false
-	if st.key != nil {
-		pf, exact = st.key, true
-	}
 	var bounds []int
 	var levels int
-	if spfx := splitterPrefixes(keys, pf); spfx != nil && nb <= seq.MaxInPlaceBuckets {
+	if spfx := splitterPrefixes(keys, st.hook); spfx != nil && nb <= seq.MaxInPlaceBuckets {
 		// The branchless uint64 descent over the splitters' prefixes.
 		// Only elements whose prefix collides with a splitter's leave it:
 		// a coarse prefix binary-searches the run of equal-prefix
@@ -503,15 +486,17 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 		if len(st.ids) < len(data) {
 			st.ids = make([]uint16, len(data))
 		}
-		seq.ClassifyPrefixed(data, pf, pc, st.ids, func(i, lo, hi int) int {
-			if !exact {
+		seq.ClassifyPrefixed(data, st.hook, pc, st.ids, func(i, lo, hi int) int {
+			// Under an exact hook the equal-prefix run is the key's run.
+			if !st.exact {
 				x := data[i]
 				hi = lo + seq.UpperBound(keys[lo:hi], x, less)
 				if hi == 0 || less(keys[hi-1], x) {
 					return hi
 				}
+				lo = int(runLo[hi-1])
 			}
-			return tieFix(i, hi-1)
+			return tieFix(i, int32(lo))
 		})
 		bounds = seq.PartitionInPlaceIDs(data, nb, st.ids[:len(data)])
 	} else {
@@ -523,7 +508,7 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 		classify := func(x E) int {
 			eq := cls.BucketEq(x)
 			if eq%2 == 1 {
-				eq = 2 * tieFix(i, eq/2)
+				eq = 2 * tieFix(i, runLo[eq/2])
 			}
 			i++
 			return eq / 2

@@ -126,15 +126,18 @@ type Config struct {
 	// Key optionally declares the element order to be the natural order
 	// of a uint64 key: set it to a func(E) uint64 (for the sorted
 	// element type E) satisfying less(a, b) == (Key(a) < Key(b)) for
-	// all a, b. When set, the local-phase kernels switch from generic
-	// pdqsort to an in-place MSD radix sort on the key
-	// (seq.SortKeyedInPlace) — the cache-efficient fast path that makes
-	// native strong scaling beat a one-core comparison sort on
-	// integer-keyed data. A hook of any other type (or a mismatched
-	// element type) is ignored. The keyed kernel is deterministic but
-	// NOT stable on equal keys — the same (lack of) guarantee as the
-	// comparator kernel, and under the contract above equal-key
-	// elements are order-indistinguishable anyway.
+	// all a, b. A key is an exact order hook: the local kernels then
+	// work on it instead of less — the splitter-tree classification, an
+	// in-place MSD radix sort at the base case and in RLM's initial sort
+	// (seq.SortKeyedInPlace), the LSD radix at the last AMS level, and
+	// RLM's merge, which compares keys first — the cache-efficient fast
+	// path that makes native strong scaling beat a one-core comparison
+	// sort on integer-keyed data. A hook of any other type (or a
+	// mismatched element type) is ignored. The keyed kernels are
+	// deterministic but NOT stable on equal keys — the same (lack of)
+	// guarantee as the comparator kernel, and under the contract above
+	// equal-key elements are order-indistinguishable anyway. Key
+	// supersedes Prefix.
 	Key any
 	// Prefix optionally supplies an order-preserving uint64 prefix of
 	// the element order for the comparator path: a func(E) uint64 with
@@ -148,38 +151,32 @@ type Config struct {
 	// sign-flipped integers, totally-ordered float bits, a struct's
 	// leading key field, a string's first 8 bytes (DESIGN.md §11) — and
 	// the kernels run branch-free on the prefix, falling back to the
-	// comparator only inside equal-prefix runs. When unset, Key doubles
-	// as the prefix on keyed runs, and for ordered scalar and string
-	// element types a natural-order prefix is derived automatically
+	// comparator only inside equal-prefix runs. An explicit Prefix is
+	// never assumed exact. When unset, a natural-order prefix is derived
+	// automatically for ordered scalar and string element types
 	// (assuming less is the type's ascending natural order; a sampled
-	// entry guard drops a derived hook that contradicts less, and
-	// NoPrefix opts out entirely). A hook whose type does not match the
-	// element type is rejected at sort entry. The prefix path is
-	// byte-identical to the plain comparator path.
+	// entry guard drops a derived hook that contradicts less). For the
+	// integer types the derived prefix is exact — equal prefixes mean
+	// equal bytes — so those runs take the keyed kernels as under Key;
+	// floats (±0 share a prefix) and strings (only 8 bytes) take the
+	// prefix-cached comparator kernels. A hook whose type does not match
+	// the element type is rejected at sort entry. Output is
+	// byte-identical to the plain comparator path either way.
 	Prefix any
-	// NoPrefix disables the comparator path's prefix cache (explicit
-	// Prefix hooks, Key reuse, and automatic derivation alike): every
-	// local kernel then runs on the comparator only. Output is
-	// unchanged either way.
+	// NoPrefix disables explicit Prefix hooks and automatic derivation:
+	// every local kernel then runs on the comparator only, unless Key is
+	// set, which still runs keyed. Output is unchanged either way.
 	NoPrefix bool
 }
 
-// keyFor extracts the Config.Key hook for element type E (nil when
-// unset or set for a different element type).
-func keyFor[E any](cfg Config) func(E) uint64 {
-	key, _ := cfg.Key.(func(E) uint64)
-	return key
-}
-
-// prefixFor resolves the comparator path's prefix hook for element
-// type E: the explicit Config.Prefix when set — a hook whose type does
-// not match the element type is a configuration error and rejected
-// here, at sort entry, with the same error shape as the other Config
-// checks (instead of panicking mid-classify) — else Config.Key (a full
-// order key is the strongest possible prefix), else a derived
-// natural-order prefix for ordered element types. NoPrefix disables
-// all three.
-func prefixFor[E any](cfg Config) func(E) uint64 {
+// prefixFor resolves the prefix hook for element type E and whether it
+// is exact: the explicit Config.Prefix when set — never assumed exact;
+// a hook whose type does not match the element type is a configuration
+// error and rejected here, at sort entry, with the same error shape as
+// the other Config checks (instead of panicking mid-classify) — else a
+// derived natural-order prefix for ordered element types. NoPrefix
+// disables both. Config.Key, which supersedes either, is initScratch's.
+func prefixFor[E any](cfg Config) (pf func(E) uint64, exact bool) {
 	if cfg.Prefix != nil {
 		pf, ok := cfg.Prefix.(func(E) uint64)
 		if !ok {
@@ -187,15 +184,12 @@ func prefixFor[E any](cfg Config) func(E) uint64 {
 			panic(fmt.Sprintf("core: Config.Prefix is %T, want func(%T) uint64", cfg.Prefix, zero))
 		}
 		if cfg.NoPrefix {
-			return nil
+			return nil, false
 		}
-		return pf
+		return pf, false
 	}
 	if cfg.NoPrefix {
-		return nil
-	}
-	if key := keyFor[E](cfg); key != nil {
-		return key
+		return nil, false
 	}
 	return derivedPrefix[E]()
 }

@@ -2,23 +2,28 @@ package core
 
 import "math"
 
-// This file derives and validates the comparator path's prefix hooks
-// (Config.Prefix; the kernels live in internal/seq/prefix.go). The
-// normalization rules are the classic order-preserving bit tricks
-// (DESIGN.md §11): unsigned integers are their own prefix, signed
-// integers flip the sign bit, floats use the total-order bit flip with
-// ±0 collapsed, and strings pack their first 8 bytes big-endian —
-// non-injective, but never out of order.
+// This file derives and validates the sorters' prefix hooks
+// (Config.Prefix, or one derived from the element type; the kernels
+// live in internal/seq). The normalization rules are the classic
+// order-preserving bit tricks (DESIGN.md §11): unsigned integers are
+// their own prefix, signed integers flip the sign bit, floats use the
+// total-order bit flip with ±0 collapsed, and strings pack their first
+// 8 bytes big-endian — non-injective, but never out of order.
 
 // derivedPrefix returns the automatically derived natural-order prefix
-// for element type E, or nil when E is not a supported ordered type.
-// The derivation assumes less is E's ascending natural order; a sort
-// with any other comparator must supply its own Config.Prefix or set
-// NoPrefix — and prefixGuard additionally cross-checks a bounded
-// sample at sort entry, dropping a derived hook that contradicts less.
-func derivedPrefix[E any]() func(E) uint64 {
+// for element type E, or nil when E is not a supported ordered type,
+// and whether it is exact: for the integer types equal prefixes mean
+// equal bytes, so the keyed kernels may sort on it without the
+// comparator (floats are not exact — ±0 share a prefix but differ in
+// bytes — and strings keep only their first 8 bytes). The derivation
+// assumes less is E's ascending natural order; a sort with any other
+// comparator must supply its own Config.Prefix or set NoPrefix — and
+// prefixGuard additionally cross-checks a bounded sample at sort entry,
+// dropping a derived hook that contradicts less.
+func derivedPrefix[E any]() (pf func(E) uint64, exact bool) {
 	var fn any
 	var zero E
+	exact = true
 	switch any(zero).(type) {
 	case uint64:
 		fn = func(x uint64) uint64 { return x }
@@ -43,18 +48,18 @@ func derivedPrefix[E any]() func(E) uint64 {
 	case int8:
 		fn = func(x int8) uint64 { return signFlip(int64(x)) }
 	case float64:
-		fn = floatPrefix
+		fn, exact = floatPrefix, false
 	case float32:
 		// The float32→float64 conversion is exact, so the float64
 		// normalization is order-preserving for float32 too.
-		fn = func(x float32) uint64 { return floatPrefix(float64(x)) }
+		fn, exact = func(x float32) uint64 { return floatPrefix(float64(x)) }, false
 	case string:
-		fn = stringPrefix
+		fn, exact = stringPrefix, false
 	default:
-		return nil
+		return nil, false
 	}
-	pf, _ := fn.(func(E) uint64)
-	return pf
+	pf, _ = fn.(func(E) uint64)
+	return pf, exact
 }
 
 // signFlip maps int64 order onto uint64 order by flipping the sign bit.

@@ -60,14 +60,14 @@ func TestDerivedPrefixContract(t *testing.T) {
 	}
 
 	t.Run("int64", func(t *testing.T) {
-		pf := derivedPrefix[int64]()
+		pf, _ := derivedPrefix[int64]()
 		checkPairs(t, "int64", 2000, func(int) (uint64, uint64, bool, bool) {
 			a, b := rng.Int63()-rng.Int63(), rng.Int63()-rng.Int63()
 			return pf(a), pf(b), a < b, b < a
 		})
 	})
 	t.Run("float64", func(t *testing.T) {
-		pf := derivedPrefix[float64]()
+		pf, _ := derivedPrefix[float64]()
 		vals := []float64{0, -0.0, 1.5, -1.5, 1e-300, -1e-300, 1e300, -1e300}
 		for i := 0; i < 2000; i++ {
 			vals = append(vals, rng.NormFloat64()*1e6)
@@ -80,7 +80,7 @@ func TestDerivedPrefixContract(t *testing.T) {
 		})
 	})
 	t.Run("string", func(t *testing.T) {
-		pf := derivedPrefix[string]()
+		pf, _ := derivedPrefix[string]()
 		mk := func() string {
 			n := rng.Intn(12)
 			b := make([]byte, n)
@@ -95,7 +95,7 @@ func TestDerivedPrefixContract(t *testing.T) {
 		})
 	})
 	t.Run("unsupported", func(t *testing.T) {
-		if derivedPrefix[struct{ X int }]() != nil {
+		if pf, _ := derivedPrefix[struct{ X int }](); pf != nil {
 			t.Fatalf("derived a prefix for an unordered struct type")
 		}
 	})
@@ -107,10 +107,11 @@ func TestDerivedPrefixContract(t *testing.T) {
 // must still be correct.
 func TestPrefixGuardDropsContradictedHook(t *testing.T) {
 	greater := func(a, b int) bool { return a > b }
-	if !prefixGuard([]int{5, 3, 1}, intLess, derivedPrefix[int]()) {
+	intPrefix, _ := derivedPrefix[int]()
+	if !prefixGuard([]int{5, 3, 1}, intLess, intPrefix) {
 		t.Fatalf("guard dropped a valid hook")
 	}
-	if prefixGuard([]int{1, 3, 5}, greater, derivedPrefix[int]()) {
+	if prefixGuard([]int{1, 3, 5}, greater, intPrefix) {
 		t.Fatalf("guard kept a hook that contradicts the comparator")
 	}
 

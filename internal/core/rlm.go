@@ -35,13 +35,12 @@ func RLMSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg C
 	root := st.rec.Start(obs.SpanRLM).N(int64(len(data)))
 
 	// Initial local sort (the "local sort" phase of Figure 8), through
-	// the selected kernel: keyed radix when Config.Key is set,
-	// prefix-cached radix when a prefix hook is live, stable comparator
-	// sort otherwise.
+	// the selected kernel: keyed radix under an exact hook,
+	// prefix-cached radix under an inexact one, stable comparator sort
+	// otherwise.
 	t0 := cost.Now()
 	ls := st.rec.StartLevel(obs.SpanLocalSort, 0).N(int64(len(data)))
-	st.sort(data, less)
-	st.sortCost(cost, int64(len(data)))
+	st.sort(data, less, cost)
 	ls.End()
 	stats.addLevel(0, PhaseLocalSort, cost.Now()-t0)
 	stats.PhaseBytes[PhaseLocalSort] += int64(len(data)) * st.eb
@@ -97,12 +96,12 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// loser-tree merge below needs all of them, so it starts at the
 	// last arrival — the exchange overlap here is the staging, on the
 	// TCP backend the decoding of later messages behind earlier ones
-	// (DESIGN.md §10), and on the prefix path the extraction of each
+	// (DESIGN.md §10), and under an order hook the extraction of each
 	// chunk's prefix sidecar (streamRuns).
 	exch := st.rec.StartLevel(obs.SpanExchange, level)
 	var chunks [][]E
 	var cpfx [][]uint64
-	if st.prefix != nil {
+	if st.hook != nil {
 		chunks, cpfx = streamRuns(c, pieces, dopt, st)
 	} else {
 		chunks = delivery.Deliver(c, pieces, dopt)
@@ -117,7 +116,10 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// Delivery coalesced contiguous same-sender spans on receive, so the
 	// loser-tree k is bounded by the number of senders even on plans
 	// that cut a piece into many spans; the output goes into the buffer
-	// retired one level up (see localScratch).
+	// retired one level up (see localScratch). Any live hook merges on
+	// prefixes: under either contract, exact or not, comparing hook
+	// values first and less only on ties decides every match exactly
+	// like the plain merge.
 	var total int
 	for _, ch := range chunks {
 		total += len(ch)
@@ -126,7 +128,7 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	stats.PhaseBytes[PhaseDataDelivery] += int64(total) * st.eb
 	mg := st.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
 	var merged []E
-	if st.prefix != nil {
+	if st.hook != nil {
 		merged = seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
 	} else {
 		merged = seq.MultiwayInto(st.grab(total), chunks, less)

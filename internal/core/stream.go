@@ -11,21 +11,23 @@ import (
 // chunks as that sender's message arrives; what a level does with them
 // depends on its shape:
 //
-//   - Concatenation levels (every non-last AMS level, and the keyed
-//     and prefix-cached last levels feeding the radix kernels) copy
-//     chunks into the next level buffer *during* the exchange — in
+//   - Concatenation levels (every non-last AMS level, and the last
+//     level of a run with an order hook, feeding the radix kernels)
+//     copy chunks into the next level buffer *during* the exchange — in
 //     sender-rank order, so the result is byte-identical to the
 //     materialize-then-concatenate batch path — and accumulate the
-//     radix histograms (keyed) or extract the prefix sidecar
-//     (prefix-cached) on the fly, so the first pass of the final radix
+//     radix histograms (exact hook) or extract the prefix sidecar
+//     (inexact hook) on the fly, so the first pass of the final radix
 //     has already happened when the last byte arrives.
 //   - Merge levels (RLM, the plain-comparator last AMS level) only
 //     stage the arriving runs: a loser-tree merge needs all its runs,
-//     so the merge itself starts at the last arrival — they use
-//     delivery.Deliver, which since the streaming rewrite IS the
-//     rank-ordered collector over DeliverStream; what overlaps there
-//     is the staging and, on the TCP backend, the decode of later
-//     messages behind the processing of earlier ones.
+//     so the merge itself starts at the last arrival. Under a hook
+//     (streamRuns) each arriving run's prefix sidecar is extracted
+//     then; without one they use delivery.Deliver, which since the
+//     streaming rewrite IS the rank-ordered collector over
+//     DeliverStream. What overlaps besides is the staging and, on the
+//     TCP backend, the decode of later messages behind the processing
+//     of earlier ones.
 //
 // The batch-vs-stream decision lives in delivery alone: under its
 // Options.Batch knob DeliverStream emits every sender's chunks only
@@ -38,25 +40,25 @@ import (
 // the caller's bound). Chunks are copied as they arrive: the in-order
 // prefix eagerly — overlapping the memcpy with the remaining exchange —
 // and out-of-order arrivals staged (by reference, no copy) until their
-// turn. key, when non-nil, additionally folds every copied chunk into
-// h, pre-computing the LSD radix histograms of the concatenation; pf,
-// when non-nil, appends every copied chunk's prefixes to pfx — the
-// sidecar is built in the same rank order as buf, so the two stay
-// aligned — pre-computing the prefix extraction of the concatenation
-// the same way. At most one of key/pf is set (they feed the two
-// different last-level kernels).
-func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, buf []E, key func(E) uint64, h *seq.KeyedHist, pf func(E) uint64, pfx []uint64) ([]E, []uint64) {
+// turn. hook, when non-nil, additionally feeds every copied chunk to
+// the last-level kernel: an exact hook folds it into h, pre-computing
+// the LSD radix histograms of the concatenation; an inexact one appends
+// its prefixes to pfx — the sidecar is built in the same rank order as
+// buf, so the two stay aligned — pre-computing the prefix extraction of
+// the concatenation the same way.
+func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, buf []E, hook func(E) uint64, exact bool, h *seq.KeyedHist, pfx []uint64) ([]E, []uint64) {
 	p := c.Size()
 	pending := make([][][]E, p)
 	arrived := make([]bool, p)
 	nextSrc := 0
 	add := func(chs [][]E) {
 		for _, ch := range chs {
-			if key != nil {
-				seq.HistKeyed(ch, key, h)
-			}
-			if pf != nil {
-				pfx = seq.ExtractPrefixes(pfx, ch, pf)
+			switch {
+			case hook == nil:
+			case exact:
+				seq.HistKeyed(ch, hook, h)
+			default:
+				pfx = seq.ExtractPrefixes(pfx, ch, hook)
 			}
 			buf = append(buf, ch...)
 		}
@@ -90,7 +92,7 @@ func streamRuns[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, 
 		ss := make([]span, len(chs))
 		for i, ch := range chs {
 			off := len(arena)
-			arena = seq.ExtractPrefixes(arena, ch, st.prefix)
+			arena = seq.ExtractPrefixes(arena, ch, st.hook)
 			ss[i] = span{off, len(ch)}
 		}
 		return ss

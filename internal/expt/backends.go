@@ -98,7 +98,7 @@ func Backends(w io.Writer, ps []int, n, reps int, seed uint64, tcp bool, kernels
 	}
 	fmt.Fprintf(w, "Backends: AMS-sort simulated vs native shared-memory vs in-process TCP loopback mesh, n=%d total, GOMAXPROCS=%d (wall: min of %d)\n",
 		n, runtime.GOMAXPROCS(0), reps)
-	fmt.Fprintf(w, "kernel: keyed = Config.Key radix; cmp = plain comparator (NoPrefix); cmp+prefix = comparator with the derived prefix cache.\n")
+	fmt.Fprintf(w, "kernel: keyed = Config.Key radix; cmp = plain comparator (NoPrefix); cmp+prefix = comparator with the derived prefix (exact for uint64, so the keyed kernels run).\n")
 	fmt.Fprintf(w, "Per-level phase rows (ms, max over PEs): sel = splitter selection, bucket = bucket processing (classify + merge),\n")
 	fmt.Fprintf(w, "exch = data delivery (the bulk exchange, incl. work overlapped into it), sort = local sort. RLM-style level 0 holds the initial sort.\n")
 	fmt.Fprintf(w, "%-6s %-10s %-2s %-8s %13s %16s %13s %15s %8s\n",

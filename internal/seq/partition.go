@@ -150,9 +150,12 @@ func PartitionInPlace[E any](data []E, nb int, bucketOf func(E) int, ids []uint1
 }
 
 // PartitionInPlaceIDs is the reorder half of PartitionInPlace for
-// callers that fill the id scratch themselves (the keyed classification
+// callers that fill the id scratch themselves (the prefix-classification
 // loops, which inline the splitter-tree descent): ids[i] must hold the
-// bucket of data[i]. ids is consumed (permuted alongside data).
+// bucket of data[i]. The American-flag walk carries the displaced
+// element and its id in locals along each cycle, so a step loads the
+// target slot's element and id and stores one element — never writing
+// ids back. Not stable; ids holds unspecified contents afterwards.
 func PartitionInPlaceIDs[E any](data []E, nb int, ids []uint16) (bounds []int) {
 	counts := make([]int, nb+1)
 	for _, b := range ids {
@@ -168,14 +171,20 @@ func PartitionInPlaceIDs[E any](data []E, nb int, ids []uint16) (bounds []int) {
 	for b := 0; b < nb; b++ {
 		for i := next[b]; i < bounds[b+1]; i = next[b] {
 			id := int(ids[i])
-			if id == b {
-				next[b] = i + 1
-				continue
+			if id != b {
+				// Slot i is a hole: carry its element to the next free
+				// slot of its bucket, pick up what sat there, and repeat
+				// until the carried element belongs to bucket b.
+				x := data[i]
+				for id != b {
+					j := next[id]
+					next[id] = j + 1
+					x, data[j] = data[j], x
+					id = int(ids[j])
+				}
+				data[i] = x
 			}
-			j := next[id]
-			next[id] = j + 1
-			data[i], data[j] = data[j], data[i]
-			ids[i], ids[j] = ids[j], ids[i]
+			next[b] = i + 1
 		}
 	}
 	return bounds

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -169,6 +170,53 @@ func TestPartitionInPlaceAgainstPartition(t *testing.T) {
 			for i := range exp {
 				if got[i] != exp[i] {
 					t.Fatalf("bucket %d differs as a multiset", b)
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionInPlaceIDsAgainstPartition drives the carry-cycle walk
+// directly: the same bounds as the stable Partition, and the same
+// multiset in each bucket. Elements are their input positions, so a
+// dropped or duplicated element shows as a wrong multiset.
+func TestPartitionInPlaceIDsAgainstPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	type layout struct {
+		name string
+		id   func(i, n, nb int) int
+	}
+	layouts := []layout{
+		{"random", func(int, int, int) int { return -1 }},
+		{"one bucket", func(_, _, nb int) int { return nb / 2 }},
+		{"last bucket", func(_, _, nb int) int { return nb - 1 }},
+		{"partitioned", func(i, n, nb int) int { return i * nb / n }},
+	}
+	for _, nb := range []int{1, 2, 32, 1000} {
+		for _, n := range []int{0, 1, 7, 500, 5000} {
+			for _, l := range layouts {
+				ids := make([]uint16, n)
+				data := make([]int, n)
+				for i := range data {
+					data[i] = i
+					b := l.id(i, n, nb)
+					if b < 0 {
+						b = rng.Intn(nb)
+					}
+					ids[i] = uint16(b)
+				}
+				want, wantBounds := Partition(data, nb, func(x int) int { return int(ids[x]) })
+				got := append([]int(nil), data...)
+				bounds := PartitionInPlaceIDs(got, nb, append([]uint16(nil), ids...))
+				if !slices.Equal(bounds, wantBounds) {
+					t.Fatalf("nb=%d n=%d %s: bounds %v, want %v", nb, n, l.name, bounds, wantBounds)
+				}
+				for b := 0; b < nb; b++ {
+					g := append([]int(nil), got[bounds[b]:bounds[b+1]]...)
+					sort.Ints(g)
+					if !slices.Equal(g, want[wantBounds[b]:wantBounds[b+1]]) {
+						t.Fatalf("nb=%d n=%d %s: bucket %d differs as a multiset", nb, n, l.name, b)
+					}
 				}
 			}
 		}

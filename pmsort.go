@@ -115,7 +115,9 @@ type (
 	// through cached uint64 compares with the comparator deciding only
 	// equal-prefix ties; output stays byte-identical to the plain
 	// comparator path. Ordered scalar/string element types derive a
-	// Prefix automatically; NoPrefix opts out. See DESIGN.md §11.)
+	// Prefix automatically — exact for the integer types, which then
+	// take the radix kernels as under Key; NoPrefix opts out. See
+	// DESIGN.md §9 and §11.)
 	Config = core.Config
 	// Stats reports per-phase times and balance of a run (virtual ns on
 	// the simulated backend, wall-clock ns on the native one).
