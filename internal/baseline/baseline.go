@@ -12,6 +12,10 @@
 //   - BitonicSort: Batcher's bitonic sort over the PEs — the classic
 //     log²p-round algorithm that moves all data Θ(log² p) times; the
 //     "prohibitive communication volume" extreme of §1.
+//
+// Like core's sorters, every baseline consumes its input: the data
+// slice is sorted or partitioned in place, so its contents after the
+// call are unspecified (callers that need the original must copy).
 package baseline
 
 import (
@@ -83,16 +87,15 @@ func GVSampleSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, 
 	t1 := coll.TimedBarrier(c)
 	stats.PhaseNS[core.PhaseSplitterSelection] += t1 - t0
 
-	// Bucket processing: partition into p buckets.
-	var parted []E
+	// Bucket processing: partition into p buckets, in place.
 	var bounds []int
 	if len(splitters) > 0 {
 		cls := seq.NewClassifier(splitters, less)
-		parted, bounds = seq.Partition(data, p, cls.Bucket)
+		bounds, _ = seq.PartitionInPlace(data, p, cls.Bucket, nil)
 		cost.PartitionOps(seq.ClassifyOps(int64(len(data)), cls.Levels()))
 		cost.Scan(2 * int64(len(data)))
 	} else {
-		parted, bounds = data, make([]int, p+1)
+		bounds = make([]int, p+1)
 		for i := 1; i <= p; i++ {
 			bounds[i] = len(data)
 		}
@@ -103,7 +106,7 @@ func GVSampleSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, 
 	// Data delivery: direct all-to-allv, piece i to PE i.
 	out := make([][]E, p)
 	for i := 0; i < p; i++ {
-		out[i] = parted[bounds[i]:bounds[i+1]]
+		out[i] = data[bounds[i]:bounds[i+1]]
 	}
 	in := coll.AlltoallvDirect(c, out)
 	var n int

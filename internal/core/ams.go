@@ -7,7 +7,6 @@ import (
 
 	"pmsort/internal/coll"
 	"pmsort/internal/comm"
-	"pmsort/internal/delivery"
 	"pmsort/internal/fwis"
 	"pmsort/internal/grouping"
 	"pmsort/internal/obs"
@@ -182,6 +181,12 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	}
 	r := levelR(cfg, plan, level, c.Size())
 	b := effectiveB(cfg, r)
+	if b*r > seq.MaxInPlaceBuckets {
+		// effectiveB caps b·r at maxBucketsPerLevel for r ≤ 2¹⁵, so only a
+		// level with more groups than the in-place partition can name
+		// gets here (p > 65536 on one level).
+		panic("core: AMS level with more than 65536 groups; raise Config.Levels")
+	}
 	seed := cfg.Seed + uint64(level)*0x9e3779b97f4a7c15
 	lvl := st.rec.StartLevel(obs.SpanLevel, level).N(int64(len(data)))
 	defer lvl.End() // covers the level's recursion subtree in the trace
@@ -323,18 +328,19 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	if plainLast {
 		// The received chunks are sorted runs, staged in rank order as
 		// they arrive; merge them into the recycled buffer once the last
-		// one is in (a loser tree needs all its runs). Delivery coalesced
+		// one is in (a loser tree needs all its runs) — the same
+		// exchange-and-merge pair as every RLM level. Delivery coalesced
 		// contiguous same-sender spans, so k is bounded by the number of
 		// senders.
 		exch := st.rec.StartLevel(obs.SpanExchange, level)
-		chunks := delivery.Deliver(c, pieces, dopt)
+		chunks, cpfx := streamRuns(c, pieces, dopt, st)
 		var total int
 		for _, ch := range chunks {
 			total += len(ch)
 		}
 		tm := cost.Now()
 		mg := st.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
-		out := seq.MultiwayInto(st.grab(total), chunks, less)
+		out := seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
 		cost.Ops(seq.MultiwayOps(int64(total), len(chunks)))
 		mg.End()
 		mergeNS := cost.Now() - tm
@@ -474,7 +480,7 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 
 	var bounds []int
 	var levels int
-	if spfx := splitterPrefixes(keys, st.hook); spfx != nil && nb <= seq.MaxInPlaceBuckets {
+	if spfx := splitterPrefixes(keys, st.hook); spfx != nil {
 		// The branchless uint64 descent over the splitters' prefixes.
 		// Only elements whose prefix collides with a splitter's leave it:
 		// a coarse prefix binary-searches the run of equal-prefix
@@ -500,28 +506,21 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 		})
 		bounds = seq.PartitionInPlaceIDs(data, nb, st.ids[:len(data)])
 	} else {
-		// The generic comparator tree: NoPrefix, element types without a
-		// prefix, and more buckets than the uint16 id scratch can name.
+		// The generic comparator tree (NoPrefix, element types without a
+		// prefix): x ≥ keys[b-1] by construction, so one more compare
+		// tells an element equal to a splitter key, which goes to the
+		// tie fix-up.
 		cls := seq.NewClassifier(keys, less)
 		levels = cls.Levels()
 		i := 0
-		classify := func(x E) int {
-			eq := cls.BucketEq(x)
-			if eq%2 == 1 {
-				eq = 2 * tieFix(i, runLo[eq/2])
+		bounds, st.ids = seq.PartitionInPlace(data, nb, func(x E) int {
+			b := cls.Bucket(x)
+			if b > 0 && !less(keys[b-1], x) {
+				b = tieFix(i, runLo[b-1])
 			}
 			i++
-			return eq / 2
-		}
-		if nb <= seq.MaxInPlaceBuckets {
-			bounds, st.ids = seq.PartitionInPlace(data, nb, classify, st.ids)
-		} else {
-			// Giant-p single-level sims: partition out of place and copy
-			// back, keeping the in-place contract for callers.
-			parted, pbounds := seq.Partition(data, nb, classify)
-			copy(data, parted)
-			bounds = pbounds
-		}
+			return b
+		}, st.ids)
 	}
 	cost.PartitionOps(seq.ClassifyOps(int64(len(data)), levels))
 	cost.Scan(2 * int64(len(data)))

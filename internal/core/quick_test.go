@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pmsort/internal/delivery"
+	"pmsort/internal/seq"
 	"pmsort/internal/sim"
 )
 
@@ -137,6 +138,21 @@ func TestEffectiveBCaps(t *testing.T) {
 	}
 	if b := effectiveB(Config{Overpartition: 1}, 1<<16); b != 1 {
 		t.Errorf("b floor: %d want 1", b)
+	}
+}
+
+// TestEffectiveBFitsInPlacePartition: every AMS level with r ≤ 65536
+// groups has at most seq.MaxInPlaceBuckets buckets, whatever the
+// requested overpartitioning, so amsPartition always partitions in
+// place (amsLevel rejects the larger r outright).
+func TestEffectiveBFitsInPlacePartition(t *testing.T) {
+	for _, op := range []int{0, 16, 1 << 20} {
+		cfg := Config{Overpartition: op}
+		for r := 1; r <= seq.MaxInPlaceBuckets; r++ {
+			if nb := effectiveB(cfg, r) * r; nb > seq.MaxInPlaceBuckets {
+				t.Fatalf("Overpartition=%d r=%d: b·r = %d > %d", op, r, nb, seq.MaxInPlaceBuckets)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"pmsort/internal/coll"
 	"pmsort/internal/comm"
-	"pmsort/internal/delivery"
 	"pmsort/internal/msel"
 	"pmsort/internal/obs"
 	"pmsort/internal/seq"
@@ -92,20 +91,13 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	dopt := cfg.Delivery
 	dopt.Seed = seed ^ 0x2b3c4d5e
 	// The received runs are staged in rank order as they arrive
-	// (Deliver is the rank-ordered collector over DeliverStream); the
-	// loser-tree merge below needs all of them, so it starts at the
-	// last arrival — the exchange overlap here is the staging, on the
-	// TCP backend the decoding of later messages behind earlier ones
-	// (DESIGN.md §10), and under an order hook the extraction of each
-	// chunk's prefix sidecar (streamRuns).
+	// (streamRuns); the loser-tree merge below needs all of them, so it
+	// starts at the last arrival — the exchange overlap here is the
+	// staging, on the TCP backend the decoding of later messages behind
+	// earlier ones (DESIGN.md §10), and under an order hook the
+	// extraction of each chunk's prefix sidecar.
 	exch := st.rec.StartLevel(obs.SpanExchange, level)
-	var chunks [][]E
-	var cpfx [][]uint64
-	if st.hook != nil {
-		chunks, cpfx = streamRuns(c, pieces, dopt, st)
-	} else {
-		chunks = delivery.Deliver(c, pieces, dopt)
-	}
+	chunks, cpfx := streamRuns(c, pieces, dopt, st)
 	t2 := coll.TimedBarrier(c)
 	exch.End()
 	stats.addLevel(level, PhaseDataDelivery, t2-t1)
@@ -119,7 +111,7 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// retired one level up (see localScratch). Any live hook merges on
 	// prefixes: under either contract, exact or not, comparing hook
 	// values first and less only on ties decides every match exactly
-	// like the plain merge.
+	// like the plain merge (nil sidecars, no hook).
 	var total int
 	for _, ch := range chunks {
 		total += len(ch)
@@ -127,12 +119,7 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	exch.N(int64(total))
 	stats.PhaseBytes[PhaseDataDelivery] += int64(total) * st.eb
 	mg := st.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
-	var merged []E
-	if st.hook != nil {
-		merged = seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
-	} else {
-		merged = seq.MultiwayInto(st.grab(total), chunks, less)
-	}
+	merged := seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
 	cost.Ops(seq.MultiwayOps(int64(total), len(chunks)))
 	// data is dead once the barrier below has passed: every PE holding
 	// chunks into it has merged them out. Retire it for recycling.

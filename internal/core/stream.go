@@ -20,14 +20,12 @@ import (
 //     (inexact hook) on the fly, so the first pass of the final radix
 //     has already happened when the last byte arrives.
 //   - Merge levels (RLM, the plain-comparator last AMS level) only
-//     stage the arriving runs: a loser-tree merge needs all its runs,
-//     so the merge itself starts at the last arrival. Under a hook
-//     (streamRuns) each arriving run's prefix sidecar is extracted
-//     then; without one they use delivery.Deliver, which since the
-//     streaming rewrite IS the rank-ordered collector over
-//     DeliverStream. What overlaps besides is the staging and, on the
-//     TCP backend, the decode of later messages behind the processing
-//     of earlier ones.
+//     stage the arriving runs (streamRuns): a loser-tree merge needs
+//     all its runs, so the merge itself starts at the last arrival.
+//     Under a hook each arriving run's prefix sidecar is extracted
+//     then. What overlaps besides is the staging and, on the TCP
+//     backend, the decode of later messages behind the processing of
+//     earlier ones.
 //
 // The batch-vs-stream decision lives in delivery alone: under its
 // Options.Batch knob DeliverStream emits every sender's chunks only
@@ -77,40 +75,44 @@ func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options
 
 // streamRuns delivers pieces and stages the received chunks in
 // sender-rank order — the exact chunk list delivery.Deliver returns —
-// while extracting each chunk's prefix sidecar as it arrives, so the
-// tie-aware loser tree starts (at the last arrival) with its prefixes
-// already cached: the merge-level sibling of streamConcat's
-// histogram-during-exchange overlap. The sidecars are carved from one
-// arena (st.pfx, recycled across levels; dead between a level's merge
-// and the next level's staging); spans are recorded as offsets and
-// sliced only after the stream completes, since the growing arena may
-// reallocate under earlier sub-slices.
+// while extracting each chunk's prefix sidecar as it arrives when the
+// run has an order hook, so the tie-aware loser tree starts (at the
+// last arrival) with its prefixes already cached: the merge-level
+// sibling of streamConcat's histogram-during-exchange overlap. Without
+// a hook the sidecars are nil, which MultiwayPrefixedInto takes as a
+// plain comparator merge. The sidecars are carved from one arena
+// (st.pfx, recycled across levels; dead between a level's merge and the
+// next level's staging); spans are recorded as offsets and sliced only
+// after the stream completes, since the growing arena may reallocate
+// under earlier sub-slices.
 func streamRuns[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, st *localScratch[E]) (chunks [][]E, pfx [][]uint64) {
 	type span struct{ off, n int }
 	arena := st.pfx[:0]
-	extract := func(chs [][]E) []span {
-		ss := make([]span, len(chs))
-		for i, ch := range chs {
-			off := len(arena)
-			arena = seq.ExtractPrefixes(arena, ch, st.hook)
-			ss[i] = span{off, len(ch)}
-		}
-		return ss
-	}
 	p := c.Size()
 	bySrc := make([][][]E, p)
 	spansBySrc := make([][]span, p)
 	nchunks := 0
 	delivery.DeliverStream(c, pieces, opt, func(src int, chs [][]E) {
 		bySrc[src] = chs
-		spansBySrc[src] = extract(chs)
 		nchunks += len(chs)
+		if st.hook == nil {
+			return
+		}
+		ss := make([]span, len(chs))
+		for i, ch := range chs {
+			ss[i] = span{len(arena), len(ch)}
+			arena = seq.ExtractPrefixes(arena, ch, st.hook)
+		}
+		spansBySrc[src] = ss
 	})
 	chunks = make([][]E, 0, nchunks)
 	spans := make([]span, 0, nchunks)
 	for src := 0; src < p; src++ {
 		chunks = append(chunks, bySrc[src]...)
 		spans = append(spans, spansBySrc[src]...)
+	}
+	if st.hook == nil {
+		return chunks, nil
 	}
 	st.pfx = arena
 	pfx = make([][]uint64, len(chunks))

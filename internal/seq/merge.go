@@ -1,7 +1,7 @@
 // Package seq provides the sequential kernels the parallel sorters are
 // built from (paper §2.2): loser-tree (tournament-tree) multiway merging
-// [20, 27, 33], super scalar sample sort partitioning with equality
-// buckets [32, App. D], and binary searches over sorted runs.
+// [20, 27, 33], super scalar sample sort partitioning [32], and binary
+// searches over sorted runs.
 package seq
 
 // Multiway merges k sorted runs into one sorted slice using a loser tree
@@ -21,13 +21,44 @@ func Multiway[E any](runs [][]E, less func(a, b E) bool) []E {
 // truncated to length 0; it is grown if its capacity is short). out
 // must not alias any run.
 func MultiwayInto[E any](out []E, runs [][]E, less func(a, b E) bool) []E {
+	return multiway(out, runs, nil, less)
+}
+
+// MultiwayPrefixedInto is MultiwayInto with cached prefixes: pfx[r][i]
+// must be the prefix of runs[r][i]. The loser tree compares uint64
+// prefixes and calls less only on prefix ties, deciding every match
+// exactly like MultiwayInto under the prefix contract — the output is
+// byte-identical. A nil pfx is a plain comparator merge (MultiwayInto).
+// out must not alias any run.
+func MultiwayPrefixedInto[E any](out []E, runs [][]E, pfx [][]uint64, less func(a, b E) bool) []E {
+	if pfx != nil {
+		if len(pfx) != len(runs) {
+			panic("seq: MultiwayPrefixedInto sidecar count does not match the runs")
+		}
+		for r := range runs {
+			if len(pfx[r]) != len(runs[r]) {
+				panic("seq: MultiwayPrefixedInto sidecar length does not match its run")
+			}
+		}
+	}
+	return multiway(out, runs, pfx, less)
+}
+
+// multiway is the one loser tree behind MultiwayInto and
+// MultiwayPrefixedInto. A match compares the heads' cached prefixes
+// when pfx is non-nil and falls back to less on equal prefixes (or
+// always, when pfx is nil); equal heads go to the smaller run index.
+func multiway[E any](out []E, runs [][]E, pfx [][]uint64, less func(a, b E) bool) []E {
 	switch len(runs) {
 	case 0:
 		return out
 	case 1:
 		return append(out, runs[0]...)
 	case 2:
-		return mergeTwo(out, runs[0], runs[1], less)
+		if pfx == nil {
+			return mergeTwo(out, runs[0], runs[1], nil, nil, less)
+		}
+		return mergeTwo(out, runs[0], runs[1], pfx[0], pfx[1], less)
 	}
 
 	k := len(runs)
@@ -42,7 +73,8 @@ func MultiwayInto[E any](out []E, runs [][]E, less func(a, b E) bool) []E {
 
 	exhausted := func(r int) bool { return r < 0 || pos[r] >= len(runs[r]) }
 	// beats reports whether run a's head wins against run b's head:
-	// strictly smaller, or equal with a < b (stability).
+	// strictly smaller, or equal with a < b (stability) — so one less
+	// call decides: "not greater" for a < b, "smaller" otherwise.
 	beats := func(a, b int) bool {
 		if exhausted(a) {
 			return false
@@ -50,14 +82,16 @@ func MultiwayInto[E any](out []E, runs [][]E, less func(a, b E) bool) []E {
 		if exhausted(b) {
 			return true
 		}
+		if pfx != nil {
+			if pa, pb := pfx[a][pos[a]], pfx[b][pos[b]]; pa != pb {
+				return pa < pb
+			}
+		}
 		x, y := runs[a][pos[a]], runs[b][pos[b]]
-		if less(x, y) {
-			return true
+		if a < b {
+			return !less(y, x)
 		}
-		if less(y, x) {
-			return false
-		}
-		return a < b
+		return less(x, y)
 	}
 
 	// Build the tree bottom-up: initNode returns the winner of subtree v
@@ -99,14 +133,23 @@ func MultiwayInto[E any](out []E, runs [][]E, less func(a, b E) bool) []E {
 
 // Merge2 merges two sorted runs into a fresh slice (stable: ties prefer a).
 func Merge2[E any](a, b []E, less func(x, y E) bool) []E {
-	return mergeTwo(make([]E, 0, len(a)+len(b)), a, b, less)
+	return mergeTwo(make([]E, 0, len(a)+len(b)), a, b, nil, nil, less)
 }
 
 // mergeTwo merges two sorted runs into out (stable: ties prefer a).
-func mergeTwo[E any](out []E, a, b []E, less func(x, y E) bool) []E {
+// With sidecars pa, pb (the runs' cached prefixes) unequal prefixes
+// decide and less breaks prefix ties; nil sidecars compare with less
+// alone.
+func mergeTwo[E any](out []E, a, b []E, pa, pb []uint64, less func(x, y E) bool) []E {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
+		var takeB bool
+		if pa != nil && pa[i] != pb[j] {
+			takeB = pb[j] < pa[i]
+		} else {
+			takeB = less(b[j], a[i])
+		}
+		if takeB {
 			out = append(out, b[j])
 			j++
 		} else {

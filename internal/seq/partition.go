@@ -79,62 +79,19 @@ func (c *Classifier[E]) Bucket(x E) int {
 	return b
 }
 
-// BucketEq classifies x into 2m+1 buckets with dedicated equality
-// buckets (App. D): bucket 2i is the open range (splitters[i-1],
-// splitters[i]), bucket 2i+1 holds elements equal to splitters[i]. Costs
-// one comparison more than Bucket.
-func (c *Classifier[E]) BucketEq(x E) int {
-	b := c.Bucket(x)
-	if b > 0 && !c.less(c.splitters[b-1], x) {
-		// x ≥ splitters[b-1] by construction; not greater -> equal.
-		return 2*(b-1) + 1
-	}
-	return 2 * b
-}
-
-// NumBucketsEq returns the number of buckets BucketEq classifies into.
-func (c *Classifier[E]) NumBucketsEq() int { return 2*len(c.splitters) + 1 }
-
-// Partition stably reorders data into bucket-contiguous layout according
-// to bucketOf (values in 0..nb-1) and returns the reordered slice
-// together with bucket boundaries: bucket b occupies out[bounds[b]:bounds[b+1]].
-func Partition[E any](data []E, nb int, bucketOf func(E) int) (out []E, bounds []int) {
-	counts := make([]int, nb+1)
-	ids := make([]int, len(data))
-	for i, x := range data {
-		b := bucketOf(x)
-		ids[i] = b
-		counts[b+1]++
-	}
-	for b := 1; b <= nb; b++ {
-		counts[b] += counts[b-1]
-	}
-	bounds = append([]int(nil), counts...)
-	out = make([]E, len(data))
-	next := counts[:nb]
-	for i, x := range data {
-		b := ids[i]
-		out[next[b]] = x
-		next[b]++
-	}
-	return out, bounds
-}
-
 // MaxInPlaceBuckets is the largest bucket count PartitionInPlace
-// accepts (its id scratch is uint16); callers with more buckets fall
-// back to the out-of-place Partition.
+// accepts (its id scratch is uint16).
 const MaxInPlaceBuckets = 1 << 16
 
 // PartitionInPlace reorders data in place into bucket-contiguous layout
 // according to bucketOf (values in 0..nb-1, nb ≤ MaxInPlaceBuckets) and
-// returns the
-// bucket boundaries: bucket b occupies data[bounds[b]:bounds[b+1]].
-// Unlike Partition it allocates no second element array: the first pass
-// classifies every element once (in input order, so stateful bucketOf
-// closures see the original positions) into the ids scratch, and an
-// American-flag cycle walk then swaps elements into their buckets —
-// O(n) swaps, not stable. ids is grown as needed and returned for
-// reuse across calls (pass nil the first time).
+// returns the bucket boundaries: bucket b occupies
+// data[bounds[b]:bounds[b+1]]. It allocates no second element array:
+// the first pass classifies every element once (in input order, so
+// stateful bucketOf closures see the original positions) into the ids
+// scratch, and an American-flag cycle walk then moves elements into
+// their buckets — O(n) moves, not stable. ids is grown as needed and
+// returned for reuse across calls (pass nil the first time).
 func PartitionInPlace[E any](data []E, nb int, bucketOf func(E) int, ids []uint16) (bounds []int, idsOut []uint16) {
 	if nb > MaxInPlaceBuckets {
 		panic("seq: PartitionInPlace bucket count exceeds MaxInPlaceBuckets")

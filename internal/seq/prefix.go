@@ -80,8 +80,7 @@ const prefixInsertionCutoff = 48
 // only to sort within equal-prefix runs. The result is exactly the
 // stable-by-less order (what SortStable produces), because the radix is
 // stable and less-ties never straddle a prefix boundary. pfx is
-// consumed (the small-input path permutes it alongside data; the radix
-// path leaves it stale).
+// consumed (it ends up permuted alongside data).
 func SortPrefixed[E any](data []E, pfx []uint64, less func(a, b E) bool, sc *PrefixScratch[E]) {
 	n := len(data)
 	if n != len(pfx) {
@@ -110,17 +109,36 @@ func SortPrefixed[E any](data []E, pfx []uint64, less func(a, b E) bool, sc *Pre
 		h.hist[6][(k>>48)&0xff]++
 		h.hist[7][(k>>56)&0xff]++
 	}
-
 	if unsafe.Sizeof(*new(E)) <= 8 {
 		// Word-sized payloads: ping-pong (prefix, payload) in lockstep.
 		// Each pass moves the same 16 bytes per element as a pair pass,
 		// but the pair build, the final random-access gather, and the
 		// copy-back all disappear — exactly the costs that kept the
 		// uint64 prefix path behind the keyed radix.
-		sortPrefixedLockstep(data, pfx, less, sc, &h)
-		return
+		sortPrefixedLockstep(data, pfx, sc, &h)
+	} else {
+		sortPrefixedPairs(data, pfx, sc, &h)
 	}
+	// Hand each equal-prefix run to the comparator (stable, so ties keep
+	// their radix-preserved original order).
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && pfx[j] == pfx[i] {
+			j++
+		}
+		if j-i > 1 {
+			SortStable(data[i:j], less)
+		}
+		i = j
+	}
+}
 
+// sortPrefixedPairs is SortPrefixed's radix for wide payloads: the
+// stable LSD passes move (prefix, id) pairs, and the payloads are
+// permuted once at the end along the sorted ids. data and pfx come out
+// in prefix order.
+func sortPrefixedPairs[E any](data []E, pfx []uint64, sc *PrefixScratch[E], h *KeyedHist) {
+	n := len(data)
 	if len(sc.pairs) < n {
 		sc.pairs = make([]prefixPair, n)
 	}
@@ -131,28 +149,10 @@ func SortPrefixed[E any](data []E, pfx []uint64, less func(a, b E) bool, sc *Pre
 	for i, k := range pfx {
 		src[i] = prefixPair{p: k, id: uint32(i)}
 	}
-	active := 0
+	var starts [256]int
 	for pass := 0; pass < 8; pass++ {
-		hp := &h.hist[pass]
-		trivial := false
-		for b := 0; b < 256; b++ {
-			if hp[b] == n {
-				trivial = true
-				break
-			}
-			if hp[b] != 0 {
-				break
-			}
-		}
-		if trivial {
+		if !h.digitStarts(pass, &starts) {
 			continue
-		}
-		active++
-		var starts [256]int
-		sum := 0
-		for b := 0; b < 256; b++ {
-			starts[b] = sum
-			sum += hp[b]
 		}
 		shift := uint(8 * pass)
 		for _, pr := range src {
@@ -163,43 +163,23 @@ func SortPrefixed[E any](data []E, pfx []uint64, less func(a, b E) bool, sc *Pre
 		src, dst = dst, src
 	}
 	sc.pairs, sc.spare = src, dst
-	if active == 0 {
-		// All prefixes equal: the whole slice is one tie run.
-		SortStable(data, less)
-		return
-	}
-
-	// Permute the payloads once along the sorted pair order, then hand
-	// each equal-prefix run to the comparator (stable, so ties keep
-	// their radix-preserved original order).
 	if len(sc.elems) < n {
 		sc.elems = make([]E, n)
 	}
 	elems := sc.elems[:n]
 	for k, pr := range src {
 		elems[k] = data[pr.id]
+		pfx[k] = pr.p
 	}
 	copy(data, elems)
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && src[j].p == src[i].p {
-			j++
-		}
-		if j-i > 1 {
-			SortStable(data[i:j], less)
-		}
-		i = j
-	}
 }
 
-// sortPrefixedLockstep is SortPrefixed's strategy for word-sized
-// payloads: the stable LSD radix distributes (prefix, payload) records
-// (trivial passes skipped, like the pair path), so the sorted payloads
-// materialize with the passes and the unpack at the end is sequential —
-// no id indirection and no random-access gather. The comparator still
-// sorts only within equal-prefix runs; stability per pass makes the
-// whole exactly the stable-by-less order. pfx is consumed.
-func sortPrefixedLockstep[E any](data []E, pfx []uint64, less func(a, b E) bool, sc *PrefixScratch[E], h *KeyedHist) {
+// sortPrefixedLockstep is SortPrefixed's radix for word-sized payloads:
+// the stable LSD passes distribute (prefix, payload) records, so the
+// sorted payloads materialize with the passes and the unpack at the end
+// is sequential — no id indirection and no random-access gather. data
+// and pfx come out in prefix order.
+func sortPrefixedLockstep[E any](data []E, pfx []uint64, sc *PrefixScratch[E], h *KeyedHist) {
 	n := len(data)
 	if len(sc.kv) < n {
 		sc.kv = make([]pfxElem[E], n)
@@ -211,28 +191,10 @@ func sortPrefixedLockstep[E any](data []E, pfx []uint64, less func(a, b E) bool,
 	for i, k := range pfx {
 		src[i] = pfxElem[E]{p: k, e: data[i]}
 	}
-	active := 0
+	var starts [256]int
 	for pass := 0; pass < 8; pass++ {
-		hp := &h.hist[pass]
-		trivial := false
-		for b := 0; b < 256; b++ {
-			if hp[b] == n {
-				trivial = true
-				break
-			}
-			if hp[b] != 0 {
-				break
-			}
-		}
-		if trivial {
+		if !h.digitStarts(pass, &starts) {
 			continue
-		}
-		active++
-		var starts [256]int
-		sum := 0
-		for b := 0; b < 256; b++ {
-			starts[b] = sum
-			sum += hp[b]
 		}
 		shift := uint(8 * pass)
 		for _, pr := range src {
@@ -243,26 +205,8 @@ func sortPrefixedLockstep[E any](data []E, pfx []uint64, less func(a, b E) bool,
 		src, dst = dst, src
 	}
 	sc.kv, sc.kvSpare = src, dst
-	if active == 0 {
-		// All prefixes equal: the whole slice is one tie run.
-		SortStable(data, less)
-		return
-	}
-	// Sequential unpack, then hand each equal-prefix run to the
-	// comparator (stable, so ties keep their radix-preserved original
-	// order).
 	for i, pr := range src {
-		data[i] = pr.e
-	}
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && src[j].p == src[i].p {
-			j++
-		}
-		if j-i > 1 {
-			SortStable(data[i:j], less)
-		}
-		i = j
+		data[i], pfx[i] = pr.e, pr.p
 	}
 }
 
@@ -406,106 +350,4 @@ func ClassifyPrefixed[E any](data []E, prefix func(E) uint64, pc *PrefixClassifi
 		k := prefix(data[i])
 		ids[i] = resolve(i, k, pc.bucket(k))
 	}
-}
-
-// MultiwayPrefixedInto is MultiwayInto with cached prefixes: pfx[r][i]
-// must be the prefix of runs[r][i]. The loser tree compares uint64
-// prefixes and calls less only on prefix ties, deciding every match
-// exactly like MultiwayInto under the prefix contract — the output is
-// byte-identical. out must not alias any run.
-func MultiwayPrefixedInto[E any](out []E, runs [][]E, pfx [][]uint64, less func(a, b E) bool) []E {
-	if len(pfx) != len(runs) {
-		panic("seq: MultiwayPrefixedInto sidecar count does not match the runs")
-	}
-	for r := range runs {
-		if len(pfx[r]) != len(runs[r]) {
-			panic("seq: MultiwayPrefixedInto sidecar length does not match its run")
-		}
-	}
-	switch len(runs) {
-	case 0:
-		return out
-	case 1:
-		return append(out, runs[0]...)
-	case 2:
-		return mergeTwoPrefixed(out, runs[0], runs[1], pfx[0], pfx[1], less)
-	}
-
-	k := len(runs)
-	K := 1
-	for K < k {
-		K <<= 1
-	}
-	pos := make([]int, k)
-	tree := make([]int, K)
-
-	exhausted := func(r int) bool { return r < 0 || pos[r] >= len(runs[r]) }
-	beats := func(a, b int) bool {
-		if exhausted(a) {
-			return false
-		}
-		if exhausted(b) {
-			return true
-		}
-		pa, pb := pfx[a][pos[a]], pfx[b][pos[b]]
-		if pa != pb {
-			return pa < pb
-		}
-		x, y := runs[a][pos[a]], runs[b][pos[b]]
-		if less(x, y) {
-			return true
-		}
-		if less(y, x) {
-			return false
-		}
-		return a < b
-	}
-
-	var initNode func(v int) int
-	initNode = func(v int) int {
-		if v >= K {
-			if r := v - K; r < k && len(runs[r]) > 0 {
-				return r
-			}
-			return -1
-		}
-		wl, wr := initNode(2*v), initNode(2*v+1)
-		if beats(wl, wr) {
-			tree[v] = wr
-			return wl
-		}
-		tree[v] = wl
-		return wr
-	}
-	winner := initNode(1)
-
-	for winner >= 0 && pos[winner] < len(runs[winner]) {
-		out = append(out, runs[winner][pos[winner]])
-		pos[winner]++
-		w := winner
-		for v := (K + winner) / 2; v >= 1; v /= 2 {
-			if beats(tree[v], w) {
-				tree[v], w = w, tree[v]
-			}
-		}
-		winner = w
-	}
-	return out
-}
-
-// mergeTwoPrefixed merges two sorted runs with cached prefixes into out
-// (stable: ties prefer a), deciding like mergeTwo under the contract.
-func mergeTwoPrefixed[E any](out []E, a, b []E, pa, pb []uint64, less func(x, y E) bool) []E {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if pb[j] < pa[i] || (pb[j] == pa[i] && less(b[j], a[i])) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

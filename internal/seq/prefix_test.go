@@ -117,34 +117,53 @@ func TestSortPrefixedStability(t *testing.T) {
 	}
 }
 
+// tiedRuns draws k stably sorted runs of up to maxLen elements over
+// keyRange keys — so ties within and across runs are common — each
+// tagged with its global position, plus their coarse prefix sidecars.
+func tiedRuns(rng *rand.Rand, k, maxLen, keyRange int) ([][]pv, [][]uint64) {
+	runs := make([][]pv, k)
+	pfx := make([][]uint64, k)
+	tag := 0
+	for r := range runs {
+		run := randPV(rng, rng.Intn(maxLen+1), keyRange)
+		for j := range run {
+			run[j].Tag = tag
+			tag++
+		}
+		SortStable(run, pvLess)
+		runs[r] = run
+		pfx[r] = ExtractPrefixes(nil, run, coarse)
+	}
+	return runs, pfx
+}
+
+// stableMerge is the merge oracle, independent of the loser tree: a
+// stable sort of the runs concatenated in run order puts ties in run
+// order, then in position order — exactly a stable multiway merge.
+func stableMerge(runs [][]pv) []pv {
+	var all []pv
+	for _, r := range runs {
+		all = append(all, r...)
+	}
+	SortStable(all, pvLess)
+	return all
+}
+
 // TestMultiwayPrefixedEquivalence: on tied sorted runs, the prefix-aware
-// loser tree must reproduce MultiwayInto byte for byte.
+// loser tree — with sidecars, and with a nil sidecar (a plain
+// comparator merge) — must reproduce the stable merge byte for byte.
+// k = 2 takes the two-way merge; the larger k the loser tree.
 func TestMultiwayPrefixedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, k := range []int{0, 1, 2, 3, 5, 8, 17} {
 		for trial := 0; trial < 30; trial++ {
-			runs := make([][]pv, k)
-			pfx := make([][]uint64, k)
-			tag := 0
-			for r := range runs {
-				n := rng.Intn(40)
-				run := make([]pv, n)
-				for j := range run {
-					run[j] = pv{K: uint64(rng.Intn(8)), Tag: tag}
-					tag++
-				}
-				SortStable(run, pvLess)
-				runs[r] = run
-				pfx[r] = ExtractPrefixes(nil, run, coarse)
+			runs, pfx := tiedRuns(rng, k, 40, 8)
+			want := stableMerge(runs)
+			if got := MultiwayPrefixedInto(nil, runs, pfx, pvLess); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d trial=%d: MultiwayPrefixedInto diverges from the stable merge", k, trial)
 			}
-			cp := make([][]pv, k)
-			for r := range runs {
-				cp[r] = append([]pv(nil), runs[r]...)
-			}
-			want := MultiwayInto(nil, cp, pvLess)
-			got := MultiwayPrefixedInto(nil, runs, pfx, pvLess)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d trial=%d: MultiwayPrefixedInto diverges from MultiwayInto", k, trial)
+			if got := MultiwayPrefixedInto(nil, runs, nil, pvLess); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d trial=%d: nil-sidecar MultiwayPrefixedInto diverges from the stable merge", k, trial)
 			}
 		}
 	}

@@ -178,99 +178,6 @@ func TestClassifierAgainstReference(t *testing.T) {
 	}
 }
 
-func TestClassifierBucketEq(t *testing.T) {
-	splitters := []int{10, 20, 20, 30}
-	c := NewClassifier(splitters, intLess)
-	if c.NumBucketsEq() != 9 {
-		t.Fatalf("NumBucketsEq=%d want 9", c.NumBucketsEq())
-	}
-	cases := map[int]int{
-		5:  0,       // < 10
-		10: 1,       // == splitter 0
-		15: 2,       // (10,20)
-		20: 2*2 + 1, // == splitter 2 (ranks past both 20s; equality on the last one)
-		25: 6,       // (20,30)
-		30: 7,       // == splitter 3
-		35: 8,       // > 30
-	}
-	for x, want := range cases {
-		if got := c.BucketEq(x); got != want {
-			t.Errorf("BucketEq(%d) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-// TestClassifierEqProperty: elements in an even bucket 2i lie strictly
-// between neighboring splitters; elements in odd bucket 2i+1 equal splitter i.
-func TestClassifierEqProperty(t *testing.T) {
-	if err := quick.Check(func(raw []uint8, xs []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		splitters := make([]int, len(raw))
-		for i, v := range raw {
-			splitters[i] = int(v % 32)
-		}
-		sort.Ints(splitters)
-		c := NewClassifier(splitters, intLess)
-		for _, xr := range xs {
-			x := int(xr % 40)
-			b := c.BucketEq(x)
-			if b%2 == 1 {
-				if splitters[(b-1)/2] != x {
-					return false
-				}
-			} else {
-				i := b / 2
-				if i > 0 && !(splitters[i-1] < x) {
-					return false
-				}
-				if i < len(splitters) && !(x < splitters[i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		nb := 1 + rng.Intn(10)
-		data := make([]int, n)
-		for i := range data {
-			data[i] = rng.Intn(1000)
-		}
-		bucketOf := func(x int) int { return x % nb }
-		out, bounds := Partition(data, nb, bucketOf)
-		if len(bounds) != nb+1 || bounds[0] != 0 || bounds[nb] != n {
-			t.Fatalf("bad bounds %v for n=%d nb=%d", bounds, n, nb)
-		}
-		// Every bucket segment contains only its own elements, stably.
-		for b := 0; b < nb; b++ {
-			seg := out[bounds[b]:bounds[b+1]]
-			var wantSeg []int
-			for _, x := range data {
-				if bucketOf(x) == b {
-					wantSeg = append(wantSeg, x)
-				}
-			}
-			if len(seg) != len(wantSeg) {
-				t.Fatalf("bucket %d has %d elements, want %d", b, len(seg), len(wantSeg))
-			}
-			for i := range seg {
-				if seg[i] != wantSeg[i] {
-					t.Fatalf("bucket %d not stable at %d: got %d want %d", b, i, seg[i], wantSeg[i])
-				}
-			}
-		}
-	}
-}
-
 func TestClassifyOps(t *testing.T) {
 	if ClassifyOps(100, 5) != 500 {
 		t.Errorf("ClassifyOps wrong: %d", ClassifyOps(100, 5))

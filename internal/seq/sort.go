@@ -95,6 +95,22 @@ func HistKeyed[E any](data []E, key func(E) uint64, h *KeyedHist) {
 	}
 }
 
+// digitStarts is the one pass planner of the LSD radix kernels: it
+// fills starts with the scatter offset of every value of digit pass and
+// reports false when that digit is constant across all h.n elements,
+// so the pass can be skipped.
+func (h *KeyedHist) digitStarts(pass int, starts *[256]int) bool {
+	sum := 0
+	for b, c := range &h.hist[pass] {
+		if c == h.n {
+			return false
+		}
+		starts[b] = sum
+		sum += c
+	}
+	return true
+}
+
 // SortKeyedHist runs the scatter passes of the stable LSD radix sort
 // with histograms accumulated up front (HistKeyed over exactly data's
 // elements, in any order). It returns the buffer holding the sorted
@@ -114,28 +130,12 @@ func SortKeyedHist[E any](data []E, key func(E) uint64, scratch []E, h *KeyedHis
 		scratch = make([]E, n)
 	}
 	src, dst := data, scratch[:n]
+	var starts [256]int
 	for pass := 0; pass < 8; pass++ {
-		hp := &h.hist[pass]
 		// Skip passes whose digit is constant (common for small key
 		// ranges: sorted/dup-heavy workloads need 1-2 passes).
-		trivial := false
-		for b := 0; b < 256; b++ {
-			if hp[b] == n {
-				trivial = true
-				break
-			}
-			if hp[b] != 0 {
-				break
-			}
-		}
-		if trivial {
+		if !h.digitStarts(pass, &starts) {
 			continue
-		}
-		var starts [256]int
-		sum := 0
-		for b := 0; b < 256; b++ {
-			starts[b] = sum
-			sum += hp[b]
 		}
 		shift := uint(8 * pass)
 		for _, e := range src {

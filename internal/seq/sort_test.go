@@ -136,9 +136,30 @@ func TestSortKeyedScratchReuse(t *testing.T) {
 	}
 }
 
+// stablePartition is the reference partition of the in-place kernels:
+// a stable counting sort of data by bucketOf (values in 0..nb-1),
+// returning the reordered copy and the bucket boundaries.
+func stablePartition[E any](data []E, nb int, bucketOf func(E) int) (out []E, bounds []int) {
+	bounds = make([]int, nb+1)
+	for _, x := range data {
+		bounds[bucketOf(x)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		bounds[b] += bounds[b-1]
+	}
+	next := slices.Clone(bounds[:nb])
+	out = make([]E, len(data))
+	for _, x := range data {
+		b := bucketOf(x)
+		out[next[b]] = x
+		next[b]++
+	}
+	return out, bounds
+}
+
 // TestPartitionInPlaceAgainstPartition: same bounds as the stable
-// Partition, per-bucket content equal as multisets, and the input
-// reordered in place (no second array).
+// reference partition, per-bucket content equal as multisets, and the
+// input reordered in place (no second array).
 func TestPartitionInPlaceAgainstPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	var ids []uint16
@@ -150,7 +171,7 @@ func TestPartitionInPlaceAgainstPartition(t *testing.T) {
 			data[i] = rng.Intn(1000)
 		}
 		bucketOf := func(x int) int { return x % nb }
-		want, wantBounds := Partition(append([]int(nil), data...), nb, bucketOf)
+		want, wantBounds := stablePartition(data, nb, bucketOf)
 		inPlace := append([]int(nil), data...)
 		var bounds []int
 		bounds, ids = PartitionInPlace(inPlace, nb, bucketOf, ids)
@@ -177,7 +198,7 @@ func TestPartitionInPlaceAgainstPartition(t *testing.T) {
 }
 
 // TestPartitionInPlaceIDsAgainstPartition drives the carry-cycle walk
-// directly: the same bounds as the stable Partition, and the same
+// directly: the same bounds as the stable reference, and the same
 // multiset in each bucket. Elements are their input positions, so a
 // dropped or duplicated element shows as a wrong multiset.
 func TestPartitionInPlaceIDsAgainstPartition(t *testing.T) {
@@ -205,7 +226,7 @@ func TestPartitionInPlaceIDsAgainstPartition(t *testing.T) {
 					}
 					ids[i] = uint16(b)
 				}
-				want, wantBounds := Partition(data, nb, func(x int) int { return int(ids[x]) })
+				want, wantBounds := stablePartition(data, nb, func(x int) int { return int(ids[x]) })
 				got := append([]int(nil), data...)
 				bounds := PartitionInPlaceIDs(got, nb, append([]uint16(nil), ids...))
 				if !slices.Equal(bounds, wantBounds) {
@@ -246,21 +267,17 @@ func TestPartitionInPlaceStatefulClassifier(t *testing.T) {
 	}
 }
 
-// TestMultiwayIntoReuse: merging into a recycled buffer equals Multiway.
+// TestMultiwayIntoReuse: merging into a recycled buffer equals a
+// stable sort of the runs concatenated in run order — the stable merge
+// — including across runs that share keys.
 func TestMultiwayIntoReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	buf := make([]int, 0, 8)
+	buf := make([]pv, 0, 8)
 	for trial := 0; trial < 30; trial++ {
-		runs := randRuns(rng, 1+rng.Intn(6), 40, 50)
-		want := Multiway(runs, intLess)
-		got := MultiwayInto(buf[:0], runs, intLess)
-		if len(got) != len(want) {
-			t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("MultiwayInto differs at %d", i)
-			}
+		runs, _ := tiedRuns(rng, 1+rng.Intn(8), 40, 6)
+		got := MultiwayInto(buf[:0], runs, pvLess)
+		if want := stableMerge(runs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: MultiwayInto diverges from the stable merge", trial)
 		}
 		buf = got
 	}

@@ -457,30 +457,39 @@ func RLMSort[E any](c Communicator, data []E, less func(a, b E) bool, cfg Config
 }
 
 // GVSampleSort is the single-level, centralized-splitter baseline (§3).
+// The input slice is consumed (partitioned in place); copy it first if
+// you still need the original.
 func GVSampleSort[E any](c Communicator, data []E, less func(a, b E) bool, seed uint64) ([]E, *Stats) {
 	return baseline.GVSampleSort(c, data, less, seed)
 }
 
-// MPSort is the MP-sort style single-level baseline (§7.3).
+// MPSort is the MP-sort style single-level baseline (§7.3). The input
+// slice is consumed (sorted in place); copy it first if you still need
+// the original.
 func MPSort[E any](c Communicator, data []E, less func(a, b E) bool, seed uint64) ([]E, *Stats) {
 	return baseline.MPSort(c, data, less, seed)
 }
 
 // BitonicSort is Batcher's bitonic sort over the PEs (p must be a power
 // of two) — the log²p-communication extreme the paper's §1 motivates
-// against.
+// against. The input slice is consumed (sorted in place); copy it first
+// if you still need the original.
 func BitonicSort[E any](c Communicator, data []E, less func(a, b E) bool, seed uint64) ([]E, *Stats) {
 	return baseline.BitonicSort(c, data, less, seed)
 }
 
 // HistogramSort is the Solomonik-Kale style single-level hybrid (§3);
 // tol is the splitter rank tolerance as a fraction of n/p (≤0: 5%).
+// The input slice is consumed (sorted in place); copy it first if you
+// still need the original.
 func HistogramSort[E any](c Communicator, data []E, less func(a, b E) bool, tol float64, seed uint64) ([]E, *Stats) {
 	return baseline.HistogramSort(c, data, less, tol, seed)
 }
 
 // HCQuicksort is hypercube parallel quicksort (p must be a power of
-// two) — fast but without balance or duplicate-key guarantees.
+// two) — fast but without balance or duplicate-key guarantees. The
+// input slice is consumed (sorted in place); copy it first if you still
+// need the original.
 func HCQuicksort[E any](c Communicator, data []E, less func(a, b E) bool, seed uint64) ([]E, *Stats) {
 	return baseline.HCQuicksort(c, data, less, seed)
 }
