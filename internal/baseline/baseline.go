@@ -15,7 +15,9 @@
 //
 // Like core's sorters, every baseline consumes its input: the data
 // slice is sorted or partitioned in place, so its contents after the
-// call are unspecified (callers that need the original must copy).
+// call are unspecified (callers that need the original must copy). And
+// like them, every baseline books its phases through a core.Meter, so
+// its Stats keep the same invariants (DESIGN.md §12).
 package baseline
 
 import (
@@ -47,18 +49,15 @@ func GVSampleSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, 
 	registerWire[E]()
 	cost := c.Cost()
 	p := c.Size()
-	stats := &core.Stats{MaxImbalance: 1, Levels: 1}
-	start := coll.TimedBarrier(c)
+	m := core.NewMeter[E](c)
 	if p == 1 {
 		seq.Sort(data, less)
 		cost.SortOps(int64(len(data)))
-		stats.PhaseNS[core.PhaseLocalSort] += cost.Now() - start
-		stats.TotalNS = coll.TimedBarrier(c) - start
-		return data, stats
+		m.Lap(c, 0, core.PhaseLocalSort, int64(len(data)))
+		return data, m.Total()
 	}
 
 	// Splitter selection: local samples gathered and sorted at PE 0.
-	t0 := start
 	logp := 0
 	for v := 1; v < p; v <<= 1 {
 		logp++
@@ -84,8 +83,7 @@ func GVSampleSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, 
 		}
 	}
 	splitters = coll.Bcast(c, 0, splitters, int64(p-1))
-	t1 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseSplitterSelection] += t1 - t0
+	m.Lap(c, 0, core.PhaseSplitterSelection, int64(a))
 
 	// Bucket processing: partition into p buckets, in place.
 	var bounds []int
@@ -100,8 +98,7 @@ func GVSampleSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, 
 			bounds[i] = len(data)
 		}
 	}
-	t2 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseBucketProcessing] += t2 - t1
+	m.Lap(c, 0, core.PhaseBucketProcessing, int64(len(data)))
 
 	// Data delivery: direct all-to-allv, piece i to PE i.
 	out := make([][]E, p)
@@ -118,16 +115,13 @@ func GVSampleSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, 
 		recv = append(recv, chunk...)
 	}
 	cost.Scan(int64(n))
-	t3 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseDataDelivery] += t3 - t2
+	m.Lap(c, 0, core.PhaseDataDelivery, int64(n))
 
 	// Local sort of the received buckets.
 	seq.Sort(recv, less)
 	cost.SortOps(int64(len(recv)))
-	t4 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseLocalSort] += t4 - t3
-	stats.TotalNS = t4 - start
-	return recv, stats
+	m.Lap(c, 0, core.PhaseLocalSort, int64(len(recv)))
+	return recv, m.Total()
 }
 
 // MPSort sorts MP-sort style [12]: single-level multiway mergesort with
@@ -139,17 +133,14 @@ func MPSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, seed u
 	registerWire[E]()
 	cost := c.Cost()
 	p := c.Size()
-	stats := &core.Stats{MaxImbalance: 1, Levels: 1}
-	start := coll.TimedBarrier(c)
+	m := core.NewMeter[E](c)
 
 	// Initial local sort.
 	seq.Sort(data, less)
 	cost.SortOps(int64(len(data)))
-	t0 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseLocalSort] += t0 - start
+	m.Lap(c, 0, core.PhaseLocalSort, int64(len(data)))
 	if p == 1 {
-		stats.TotalNS = t0 - start
-		return data, stats
+		return data, m.Total()
 	}
 
 	// Exact splitters for all p parts at once.
@@ -159,8 +150,7 @@ func MPSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, seed u
 		targets[j-1] = int64(j) * n / int64(p)
 	}
 	pos := msel.Select(c, data, targets, less, seed)
-	t1 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseSplitterSelection] += t1 - t0
+	m.Lap(c, 0, core.PhaseSplitterSelection, 0)
 
 	// Direct delivery of the p pieces.
 	out := make([][]E, p)
@@ -171,24 +161,21 @@ func MPSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, seed u
 	}
 	out[p-1] = data[prev:]
 	in := coll.AlltoallvDirect(c, out)
-	t2 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseDataDelivery] += t2 - t1
-
-	// "Local multiway merging by sorting from scratch."
 	var total int
 	for _, chunk := range in {
 		total += len(chunk)
 	}
+	m.Lap(c, 0, core.PhaseDataDelivery, int64(total))
+
+	// "Local multiway merging by sorting from scratch."
 	recv := make([]E, 0, total)
 	for _, chunk := range in {
 		recv = append(recv, chunk...)
 	}
 	seq.Sort(recv, less)
 	cost.SortOps(int64(len(recv)))
-	t3 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseBucketProcessing] += t3 - t2
-	stats.TotalNS = t3 - start
-	return recv, stats
+	m.Lap(c, 0, core.PhaseBucketProcessing, int64(total))
+	return recv, m.Total()
 }
 
 // BitonicSort sorts with Batcher's bitonic network over the PEs: every
@@ -203,16 +190,15 @@ func BitonicSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, _
 	if p&(p-1) != 0 {
 		panic("baseline: BitonicSort requires a power-of-two number of PEs")
 	}
-	stats := &core.Stats{MaxImbalance: 1, Levels: 1}
-	start := coll.TimedBarrier(c)
+	m := core.NewMeter[E](c)
 
 	seq.Sort(data, less)
 	cost.SortOps(int64(len(data)))
-	t0 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseLocalSort] += t0 - start
+	m.Lap(c, 0, core.PhaseLocalSort, int64(len(data)))
 
 	rank := c.Rank()
 	cur := data
+	var recvd int64 // elements received over all rounds
 	for k := 2; k <= p; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
 			partner := rank ^ j
@@ -220,6 +206,7 @@ func BitonicSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, _
 			c.Send(partner, tagBitonic, cur, int64(len(cur)))
 			pl, _ := c.Recv(partner, tagBitonic)
 			other := pl.([]E)
+			recvd += int64(len(other))
 			// Both partners must compute the IDENTICAL merged sequence or
 			// the low/high split is not a partition of their union: Merge2
 			// is left-biased on ties, so always feed the lower rank's data
@@ -243,10 +230,8 @@ func BitonicSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, _
 			}
 		}
 	}
-	t1 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseDataDelivery] += t1 - t0
-	stats.TotalNS = t1 - start
-	return cur, stats
+	m.Lap(c, 0, core.PhaseDataDelivery, recvd)
+	return cur, m.Total()
 }
 
 func addI64(a, b int64) int64 { return a + b }

@@ -33,20 +33,18 @@ func HCQuicksort[E any](c comm.Communicator, data []E, less func(a, b E) bool, s
 		panic("baseline: HCQuicksort requires a power-of-two number of PEs")
 	}
 	registerWire[E]()
-	stats := &core.Stats{MaxImbalance: 1, Levels: 0}
-	start := coll.TimedBarrier(c)
+	m := core.NewMeter[E](c)
 
 	// Local sort once up front so medians and splits are O(log) each.
 	seq.Sort(data, less)
 	cost.SortOps(int64(len(data)))
-	t0 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseLocalSort] += t0 - start
+	m.Lap(c, 0, core.PhaseLocalSort, int64(len(data)))
 
 	cur := data
 	sub := c
 	rng := prng.New(seed)
-	for sub.Size() > 1 {
-		stats.Levels++
+	// Each round is a level, booked on this PE's own clock.
+	for m.Levels = 0; sub.Size() > 1; m.Levels++ {
 		q := sub.Size()
 		tSel0 := cost.Now()
 
@@ -71,7 +69,7 @@ func HCQuicksort[E any](c comm.Communicator, data []E, less func(a, b E) bool, s
 			pivot = cands[len(cands)/2]
 		}
 		_ = rng.Next() // keep the stream aligned across rounds
-		stats.PhaseNS[core.PhaseSplitterSelection] += cost.Now() - tSel0
+		m.Local(c, m.Levels, core.PhaseSplitterSelection, tSel0, 0)
 
 		// Split at the pivot and swap halves along the top dimension:
 		// lower subcube keeps < pivot, upper keeps ≥ pivot.
@@ -99,7 +97,7 @@ func HCQuicksort[E any](c comm.Communicator, data []E, less func(a, b E) bool, s
 		merged := seq.Merge2(keep, got, less)
 		cost.Ops(int64(len(merged)))
 		cur = merged
-		stats.PhaseNS[core.PhaseDataDelivery] += cost.Now() - tEx0
+		m.Local(c, m.Levels, core.PhaseDataDelivery, tEx0, int64(len(got)))
 
 		if low {
 			sub = sub.Subset(0, half)
@@ -107,8 +105,8 @@ func HCQuicksort[E any](c comm.Communicator, data []E, less func(a, b E) bool, s
 			sub = sub.Subset(half, q)
 		}
 	}
-	end := coll.TimedBarrier(c)
-	stats.TotalNS = end - start
+	m.Fence(c)
+	stats := m.Total()
 	n := coll.Allreduce(c, int64(len(cur)), 1, addI64)
 	if n > 0 {
 		stats.MaxImbalance = float64(len(cur)) * float64(p) / float64(n)

@@ -22,8 +22,7 @@ func HistogramSort[E any](c comm.Communicator, data []E, less func(a, b E) bool,
 	registerWire[E]()
 	cost := c.Cost()
 	p := c.Size()
-	stats := &core.Stats{MaxImbalance: 1, Levels: 1}
-	start := coll.TimedBarrier(c)
+	m := core.NewMeter[E](c)
 	if tol <= 0 {
 		tol = 0.05
 	}
@@ -32,17 +31,15 @@ func HistogramSort[E any](c comm.Communicator, data []E, less func(a, b E) bool,
 	// histograms are binary searches).
 	seq.Sort(data, less)
 	cost.SortOps(int64(len(data)))
-	t0 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseLocalSort] += t0 - start
+	m.Lap(c, 0, core.PhaseLocalSort, int64(len(data)))
 	if p == 1 {
-		stats.TotalNS = t0 - start
-		return data, stats
+		return data, m.Total()
 	}
 
 	n := coll.Allreduce(c, int64(len(data)), 1, addI64)
 	if n == 0 {
-		stats.TotalNS = coll.TimedBarrier(c) - start
-		return data, stats
+		m.Fence(c)
+		return data, m.Total()
 	}
 	slack := int64(tol * float64(n) / float64(p))
 	if slack < 1 {
@@ -171,8 +168,7 @@ func HistogramSort[E any](c comm.Communicator, data []E, less func(a, b E) bool,
 			splits[j] = splits[j-1]
 		}
 	}
-	t1 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseSplitterSelection] += t1 - t0
+	m.Lap(c, 0, core.PhaseSplitterSelection, 0)
 
 	// Direct exchange of the p pieces.
 	out := make([][]E, p)
@@ -183,16 +179,17 @@ func HistogramSort[E any](c comm.Communicator, data []E, less func(a, b E) bool,
 	}
 	out[p-1] = data[prev:]
 	in := coll.AlltoallvDirect(c, out)
-	t2 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseDataDelivery] += t2 - t1
+	var total int
+	for _, chunk := range in {
+		total += len(chunk)
+	}
+	m.Lap(c, 0, core.PhaseDataDelivery, int64(total))
 
 	// Merge the received sorted runs (the mergesort half of the hybrid).
 	merged := seq.Multiway(in, less)
 	cost.Ops(seq.MultiwayOps(int64(len(merged)), len(in)))
-	t3 := coll.TimedBarrier(c)
-	stats.PhaseNS[core.PhaseBucketProcessing] += t3 - t2
-	stats.TotalNS = t3 - start
-	return merged, stats
+	m.Lap(c, 0, core.PhaseBucketProcessing, int64(len(merged)))
+	return merged, m.Total()
 }
 
 // probeSlot carries a histogram candidate through the pick-one reduce.

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"unsafe"
 
 	"pmsort/internal/coll"
 	"pmsort/internal/comm"
@@ -62,12 +61,6 @@ type localScratch[E any] struct {
 	reuse []E
 	pfx   []uint64
 	psc   seq.PrefixScratch[E]
-
-	// rec is the run's obs recorder (nil when tracing is off — every
-	// span call no-ops); eb is the element size for the PhaseBytes
-	// accounting.
-	rec *obs.Recorder
-	eb  int64
 }
 
 // grab returns a zero-length buffer with capacity ≥ n, recycling the
@@ -120,7 +113,7 @@ func (st *localScratch[E]) sort(data []E, less func(a, b E) bool, cost comm.Cost
 // derived, exact only for the derived integer cases — that survives the
 // sampled entry guard.
 func initScratch[E any](data []E, less func(a, b E) bool, cfg Config) *localScratch[E] {
-	st := &localScratch[E]{eb: int64(unsafe.Sizeof(*new(E)))}
+	st := &localScratch[E]{}
 	// prefixFor also validates an explicit Config.Prefix hook's type, so
 	// call it even on keyed runs (where the key supersedes it).
 	pf, exact := prefixFor[E](cfg)
@@ -143,18 +136,25 @@ func initScratch[E any](data []E, less func(a, b E) bool, cfg Config) *localScra
 // recycles its backing array as level scratch, so its contents after
 // the call are unspecified (callers that need the original must copy).
 func AMSSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config) ([]E, *Stats) {
+	return sortRun(c, data, less, cfg, obs.SpanAMS, func(cfg Config, plan []int, m *Meter, st *localScratch[E]) []E {
+		return amsLevel(c, data, less, cfg, plan, 0, m, st)
+	})
+}
+
+// sortRun is the entry AMSSort and RLMSort share: it validates cfg,
+// plans the levels, builds the scratch arena, and runs the sorter's
+// body between the start and end fences, inside the root span.
+func sortRun[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config, span string, body func(cfg Config, plan []int, m *Meter, st *localScratch[E]) []E) ([]E, *Stats) {
 	cfg = validate(cfg)
 	registerWire[E](cfg.Encoder)
 	plan := cfg.Rs
 	if plan == nil {
 		plan = PlanLevels(c.Size(), cfg.Levels)
 	}
-	stats := &Stats{MaxImbalance: 1}
 	st := initScratch(data, less, cfg)
-	st.rec = obs.From(c)
-	start := coll.TimedBarrier(c)
-	root := st.rec.Start(obs.SpanAMS).N(int64(len(data)))
-	out := amsLevel(c, data, less, cfg, plan, 0, stats, st)
+	m := NewMeter[E](c)
+	root := m.rec.Start(span).N(int64(len(data)))
+	out := body(cfg, plan, m, st)
 	if len(out) == 0 {
 		// Canonical empty: whether an empty result is nil or a zero-length
 		// slice depends on the scratch-arena state of whichever kernel path
@@ -162,21 +162,20 @@ func AMSSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg C
 		out = nil
 	}
 	root.End()
-	stats.TotalNS = coll.TimedBarrier(c) - start
-	return out, stats
+	m.Fence(c)
+	return out, m.Total()
 }
 
-func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config, plan []int, level int, stats *Stats, st *localScratch[E]) []E {
+func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config, plan []int, level int, m *Meter, st *localScratch[E]) []E {
 	cost := c.Cost()
 	if c.Size() == 1 {
 		// Base case: sort locally (the "local sort" phase).
 		t0 := cost.Now()
-		sp := st.rec.StartLevel(obs.SpanLocalSort, level).N(int64(len(data)))
+		sp := m.rec.StartLevel(obs.SpanLocalSort, level).N(int64(len(data)))
 		st.sort(data, less, cost)
 		sp.End()
-		stats.addLevel(level, PhaseLocalSort, cost.Now()-t0)
-		stats.PhaseBytes[PhaseLocalSort] += int64(len(data)) * st.eb
-		stats.Levels = level
+		m.Local(c, level, PhaseLocalSort, t0, int64(len(data)))
+		m.Levels = level
 		return data
 	}
 	r := levelR(cfg, plan, level, c.Size())
@@ -188,19 +187,19 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 		panic("core: AMS level with more than 65536 groups; raise Config.Levels")
 	}
 	seed := cfg.Seed + uint64(level)*0x9e3779b97f4a7c15
-	lvl := st.rec.StartLevel(obs.SpanLevel, level).N(int64(len(data)))
+	lvl := m.rec.StartLevel(obs.SpanLevel, level).N(int64(len(data)))
 	defer lvl.End() // covers the level's recursion subtree in the trace
 
 	// --- Phase: splitter selection -------------------------------------
-	t0 := coll.TimedBarrier(c)
-	sel := st.rec.StartLevel(obs.SpanSplitterSel, level)
+	m.Fence(c)
+	sel := m.rec.StartLevel(obs.SpanSplitterSel, level)
 	n := coll.Allreduce(c, int64(len(data)), 1, addI64)
 	if n == 0 {
 		// Nothing to sort anywhere; recurse trivially to keep the
 		// collective call structure aligned.
 		sel.End()
 		sub, _ := c.SplitEqual(r)
-		return amsLevel(sub, data, less, cfg, plan, level+1, stats, st)
+		return amsLevel(sub, data, less, cfg, plan, level+1, m, st)
 	}
 	a := cfg.Oversampling
 	if a <= 0 {
@@ -228,7 +227,7 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// tagged order strict for fwis, and position tags make the implicit
 	// tie-breaking splits uniform over each PE's data.
 	rng := prng.New(seed).Fork(uint64(c.Rank()) + 0xabcd)
-	smp := st.rec.StartLevel(obs.SpanSample, level).N(int64(share))
+	smp := m.rec.StartLevel(obs.SpanSample, level).N(int64(share))
 	sample := make([]tagged[E], 0, share)
 	taken := make(map[int]bool, share)
 	for i := len(data) - share; i < len(data); i++ {
@@ -243,7 +242,7 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	smp.End()
 
 	tLess := taggedLess(less)
-	sps := st.rec.StartLevel(obs.SpanSplitterSort, level)
+	sps := m.rec.StartLevel(obs.SpanSplitterSort, level)
 	sorter := fwis.New(c, sample, tLess)
 	numSplitters := b*r - 1
 	if s := sorter.Total(); int64(numSplitters) > s {
@@ -255,13 +254,11 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	}
 	splitters := sorter.SelectRanks(targets)
 	sps.N(int64(numSplitters)).End()
-	t1 := coll.TimedBarrier(c)
+	m.Lap(c, level, PhaseSplitterSelection, int64(share))
 	sel.N(int64(share)).End()
-	stats.addLevel(level, PhaseSplitterSelection, t1-t0)
-	stats.PhaseBytes[PhaseSplitterSelection] += int64(share) * st.eb
 
 	// --- Phase: bucket processing --------------------------------------
-	cls := st.rec.StartLevel(obs.SpanClassify, level).N(int64(len(data)))
+	cls := m.rec.StartLevel(obs.SpanClassify, level).N(int64(len(data)))
 	sizes, bounds := amsPartition(c, data, splitters, less, st)
 	// The b·r-long bucket-size vectors are the one long reduction in
 	// AMS-sort; use the full-bandwidth algorithm where it applies.
@@ -275,8 +272,8 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 		cost.Scan(int64(len(globalSizes)) * 8) // ≈ log(br) scans
 	}
 	imb := float64(maxLoad) * float64(r) / float64(n)
-	if imb > stats.MaxImbalance {
-		stats.MaxImbalance = imb
+	if imb > m.MaxImbalance {
+		m.MaxImbalance = imb
 	}
 	cls.Imb(imb)
 	// Bucket ranges -> r pieces (trailing groups may be empty). The
@@ -302,24 +299,17 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	last := r == c.Size()
 	plainLast := last && st.hook == nil
 	cls.End()
-	var pieceSortNS int64
 	if plainLast {
 		ts := cost.Now()
-		ps := st.rec.StartLevel(obs.SpanPieceSort, level).N(int64(len(data)))
+		ps := m.rec.StartLevel(obs.SpanPieceSort, level).N(int64(len(data)))
 		for _, piece := range pieces {
 			seq.SortStable(piece, less)
 		}
 		cost.SortOps(int64(len(data)))
 		ps.End()
-		pieceSortNS = cost.Now() - ts
+		m.Local(c, level, PhaseLocalSort, ts, int64(len(data)))
 	}
-	t2 := coll.TimedBarrier(c)
-	stats.addLevel(level, PhaseBucketProcessing, t2-t1-pieceSortNS)
-	stats.addLevel(level, PhaseLocalSort, pieceSortNS)
-	stats.PhaseBytes[PhaseBucketProcessing] += int64(len(data)) * st.eb
-	if plainLast {
-		stats.PhaseBytes[PhaseLocalSort] += int64(len(data)) * st.eb
-	}
+	m.Lap(c, level, PhaseBucketProcessing, int64(len(data)))
 
 	// --- Phase: data delivery ------------------------------------------
 	dopt := cfg.Delivery
@@ -332,25 +322,21 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 		// exchange-and-merge pair as every RLM level. Delivery coalesced
 		// contiguous same-sender spans, so k is bounded by the number of
 		// senders.
-		exch := st.rec.StartLevel(obs.SpanExchange, level)
+		exch := m.rec.StartLevel(obs.SpanExchange, level)
 		chunks, cpfx := streamRuns(c, pieces, dopt, st)
 		var total int
 		for _, ch := range chunks {
 			total += len(ch)
 		}
 		tm := cost.Now()
-		mg := st.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
+		mg := m.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
 		out := seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
 		cost.Ops(seq.MultiwayOps(int64(total), len(chunks)))
 		mg.End()
-		mergeNS := cost.Now() - tm
-		t3 := coll.TimedBarrier(c)
+		m.Local(c, level, PhaseBucketProcessing, tm, int64(total))
+		m.Lap(c, level, PhaseDataDelivery, int64(total))
 		exch.N(int64(total)).End()
-		stats.addLevel(level, PhaseDataDelivery, t3-t2-mergeNS)
-		stats.addLevel(level, PhaseBucketProcessing, mergeNS)
-		stats.PhaseBytes[PhaseDataDelivery] += int64(total) * st.eb
-		stats.PhaseBytes[PhaseBucketProcessing] += int64(total) * st.eb
-		stats.Levels = level + 1
+		m.Levels = level + 1
 		return out
 	}
 
@@ -363,7 +349,7 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// (Under delivery's Options.Batch knob the chunks all arrive after
 	// the exchange, in rank order, and the same loop runs then —
 	// byte-identical; asserted by the torture harness.)
-	exch := st.rec.StartLevel(obs.SpanExchange, level)
+	exch := m.rec.StartLevel(obs.SpanExchange, level)
 	bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
 	var hook func(E) uint64
 	var hist *seq.KeyedHist
@@ -378,14 +364,12 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	}
 	next, pfx := streamConcat(c, pieces, dopt, st.grab(bound), hook, st.exact, hist, pfx)
 	total := len(next)
-	// data is dead once the barrier below has passed: every PE holding
-	// chunks into it has copied them out. Retire it for recycling.
+	// data is dead once the fence of the Lap below has passed: every PE
+	// holding chunks into it has copied them out. Retire it for recycling.
 	st.retire(data)
 	cost.Scan(int64(total))
-	t3 := coll.TimedBarrier(c)
+	m.Lap(c, level, PhaseDataDelivery, int64(total))
 	exch.N(int64(total)).End()
-	stats.addLevel(level, PhaseDataDelivery, t3-t2)
-	stats.PhaseBytes[PhaseDataDelivery] += int64(total) * st.eb
 
 	if last {
 		// Fast-path last level: a stable radix sort of the concatenation
@@ -397,7 +381,7 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 		// stable prefix radix over the sidecar extracted during the
 		// exchange, with the comparator deciding only equal-prefix runs.
 		t4 := cost.Now()
-		ls := st.rec.StartLevel(obs.SpanLocalSort, level).N(int64(total))
+		ls := m.rec.StartLevel(obs.SpanLocalSort, level).N(int64(total))
 		scratch := st.grab(total)
 		var sorted []E
 		if st.exact {
@@ -410,14 +394,13 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 			sorted = next
 		}
 		ls.End()
-		stats.addLevel(level, PhaseLocalSort, cost.Now()-t4)
-		stats.PhaseBytes[PhaseLocalSort] += int64(total) * st.eb
-		stats.Levels = level + 1
+		m.Local(c, level, PhaseLocalSort, t4, int64(total))
+		m.Levels = level + 1
 		return sorted
 	}
 
 	sub, _ := c.SplitEqual(r)
-	return amsLevel(sub, next, less, cfg, plan, level+1, stats, st)
+	return amsLevel(sub, next, less, cfg, plan, level+1, m, st)
 }
 
 // amsPartition classifies the local data into the b·r buckets under

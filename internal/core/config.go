@@ -7,16 +7,19 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"pmsort/internal/coll"
+	"pmsort/internal/comm"
 	"pmsort/internal/delivery"
 	"pmsort/internal/fwis"
 	"pmsort/internal/msel"
+	"pmsort/internal/obs"
 	"pmsort/internal/wire"
 )
 
-// Phase identifies the four measured algorithm phases of §7.1. A barrier
-// precedes every phase; timings accumulate over all recursion levels.
+// Phase identifies the four measured algorithm phases of §7.1, booked
+// by a Meter; timings accumulate over all recursion levels.
 type Phase int
 
 const (
@@ -50,24 +53,26 @@ func (ph Phase) String() string {
 	return "invalid"
 }
 
-// Stats reports one PE's view of a sorting run.
+// Stats reports one PE's view of a sorting run. A Meter writes its
+// timing and byte fields, for this package's sorters and the baselines.
 type Stats struct {
-	// PhaseNS[ph] is the accumulated virtual time of phase ph over all
-	// levels, measured between synchronized barriers.
+	// PhaseNS[ph] is the accumulated time of phase ph over all levels:
+	// virtual on the simulator, wall-clock on the real backends.
 	PhaseNS [NumPhases]int64
 	// LevelPhaseNS[level][ph] breaks PhaseNS down by recursion level:
 	// summing a phase's column over all levels reproduces PhaseNS[ph]
-	// exactly (both are fed from the same barrier deltas). RLM's initial
-	// local sort is charged to level 0; a level's trailing local work
-	// (AMS base case, last-level radix) is charged to the level it ran
-	// on. Always populated — Stats stays the cheap always-on summary.
+	// exactly (the Meter books both at once). RLM's initial local sort
+	// is charged to level 0, a level's trailing local work (AMS base
+	// case, last-level radix) to the level it ran on, and each
+	// hc-quicksort round is a level. Always populated — Stats stays the
+	// cheap always-on summary.
 	LevelPhaseNS [][NumPhases]int64
 	// PhaseBytes[ph] estimates the bytes each phase put through memory
 	// or the network on this PE: sample bytes for splitter selection,
 	// classified/merged bytes for bucket processing, received bytes for
 	// data delivery, sorted bytes for the local sort.
 	PhaseBytes [NumPhases]int64
-	// TotalNS is the virtual time from start to finish.
+	// TotalNS is the time from the run's first fence to its last.
 	TotalNS int64
 	// MaxImbalance is the largest observed max-group-load / avg-group-load
 	// ratio over all levels (AMS only; 1.0 means perfectly balanced).
@@ -76,14 +81,71 @@ type Stats struct {
 	Levels int
 }
 
-// addLevel accumulates ns into both the flat and the per-level phase
-// breakdown, growing the level table on first touch of a level.
-func (s *Stats) addLevel(level int, ph Phase, ns int64) {
-	s.PhaseNS[ph] += ns
-	for len(s.LevelPhaseNS) <= level {
-		s.LevelPhaseNS = append(s.LevelPhaseNS, [NumPhases]int64{})
+// Meter books one PE's phases into its Stats and owns every phase
+// fence (coll.TimedBarrier, the MPI_Barrier of §7.1) of the sorters.
+// Fence opens an interval without booking it; Lap closes one and books
+// it. Local books work timed on the PE's own clock and carves it out of
+// the enclosing lap, so each nanosecond lands in one phase. It also
+// carries the run's obs recorder for the spans (DESIGN.md §12).
+type Meter struct {
+	*Stats
+	rec         *obs.Recorder
+	eb          int64 // element size in bytes, for PhaseBytes
+	first, last int64 // the start fence and the latest one
+	carved      int64 // Local time booked since the latest fence
+}
+
+// NewMeter starts the meter of a single-level run on element type E
+// with the start fence. Collective over c.
+func NewMeter[E any](c comm.Communicator) *Meter {
+	m := &Meter{
+		Stats: &Stats{MaxImbalance: 1, Levels: 1},
+		rec:   obs.From(c),
+		eb:    int64(unsafe.Sizeof(*new(E))),
 	}
-	s.LevelPhaseNS[level][ph] += ns
+	m.Fence(c)
+	m.first = m.last
+	return m
+}
+
+// Fence starts an interval that is not booked. Collective over c.
+func (m *Meter) Fence(c comm.Communicator) {
+	m.last, m.carved = coll.TimedBarrier(c), 0
+}
+
+// Lap fences, then books the interval since the latest fence, minus
+// the time Local carved out of it, to phase ph of level; n elements
+// went through the phase. Collective over c.
+func (m *Meter) Lap(c comm.Communicator, level int, ph Phase, n int64) {
+	t := coll.TimedBarrier(c)
+	m.book(level, ph, t-m.last-m.carved, n)
+	m.last, m.carved = t, 0
+}
+
+// Local books the time since t0 on this PE's own clock to phase ph of
+// level and carves it out of the enclosing lap. Not collective.
+func (m *Meter) Local(c comm.Communicator, level int, ph Phase, t0, n int64) {
+	ns := c.Cost().Now() - t0
+	m.book(level, ph, ns, n)
+	m.carved += ns
+}
+
+// Total sets TotalNS to the span from the first fence to the latest
+// and returns the Stats.
+func (m *Meter) Total() *Stats {
+	m.TotalNS = m.last - m.first
+	return m.Stats
+}
+
+// book adds ns and n elements to phase ph of level, growing the level
+// table on first touch of a level.
+func (m *Meter) book(level int, ph Phase, ns, n int64) {
+	m.PhaseNS[ph] += ns
+	for len(m.LevelPhaseNS) <= level {
+		m.LevelPhaseNS = append(m.LevelPhaseNS, [NumPhases]int64{})
+	}
+	m.LevelPhaseNS[level][ph] += ns
+	m.PhaseBytes[ph] += n * m.eb
 }
 
 // Config tunes the sorters. Field order follows the documented

@@ -20,65 +20,43 @@ import (
 // recycles its backing array as level scratch, so its contents after
 // the call are unspecified (callers that need the original must copy).
 func RLMSort[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config) ([]E, *Stats) {
-	cfg = validate(cfg)
-	registerWire[E](cfg.Encoder)
-	plan := cfg.Rs
-	if plan == nil {
-		plan = PlanLevels(c.Size(), cfg.Levels)
-	}
-	cost := c.Cost()
-	stats := &Stats{MaxImbalance: 1}
-	st := initScratch(data, less, cfg)
-	st.rec = obs.From(c)
-	start := coll.TimedBarrier(c)
-	root := st.rec.Start(obs.SpanRLM).N(int64(len(data)))
-
-	// Initial local sort (the "local sort" phase of Figure 8), through
-	// the selected kernel: keyed radix under an exact hook,
-	// prefix-cached radix under an inexact one, stable comparator sort
-	// otherwise.
-	t0 := cost.Now()
-	ls := st.rec.StartLevel(obs.SpanLocalSort, 0).N(int64(len(data)))
-	st.sort(data, less, cost)
-	ls.End()
-	stats.addLevel(0, PhaseLocalSort, cost.Now()-t0)
-	stats.PhaseBytes[PhaseLocalSort] += int64(len(data)) * st.eb
-
-	out := rlmLevel(c, data, less, cfg, plan, 0, stats, st)
-	if len(out) == 0 {
-		// Canonical empty: whether an empty result is nil or a zero-length
-		// slice depends on the scratch-arena state of whichever kernel path
-		// produced it; byte-identity comparisons must not see that.
-		out = nil
-	}
-	root.End()
-	stats.TotalNS = coll.TimedBarrier(c) - start
-	return out, stats
+	return sortRun(c, data, less, cfg, obs.SpanRLM, func(cfg Config, plan []int, m *Meter, st *localScratch[E]) []E {
+		// Initial local sort (the "local sort" phase of Figure 8), through
+		// the selected kernel: keyed radix under an exact hook,
+		// prefix-cached radix under an inexact one, stable comparator sort
+		// otherwise.
+		cost := c.Cost()
+		t0 := cost.Now()
+		ls := m.rec.StartLevel(obs.SpanLocalSort, 0).N(int64(len(data)))
+		st.sort(data, less, cost)
+		ls.End()
+		m.Local(c, 0, PhaseLocalSort, t0, int64(len(data)))
+		return rlmLevel(c, data, less, cfg, plan, 0, m, st)
+	})
 }
 
-func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config, plan []int, level int, stats *Stats, st *localScratch[E]) []E {
+func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg Config, plan []int, level int, m *Meter, st *localScratch[E]) []E {
 	cost := c.Cost()
 	if c.Size() == 1 {
-		stats.Levels = level
+		m.Levels = level
 		return data
 	}
 	r := levelR(cfg, plan, level, c.Size())
 	seed := cfg.Seed + uint64(level)*0x7f4a7c159e3779b9
-	lvl := st.rec.StartLevel(obs.SpanLevel, level).N(int64(len(data)))
+	lvl := m.rec.StartLevel(obs.SpanLevel, level).N(int64(len(data)))
 	defer lvl.End() // covers the level's recursion subtree in the trace
 
 	// --- Phase: splitter selection (multisequence selection) -----------
-	t0 := coll.TimedBarrier(c)
-	sel := st.rec.StartLevel(obs.SpanSplitterSel, level).N(int64(len(data)))
+	m.Fence(c)
+	sel := m.rec.StartLevel(obs.SpanSplitterSel, level).N(int64(len(data)))
 	n := coll.Allreduce(c, int64(len(data)), 1, addI64)
 	targets := make([]int64, r-1)
 	for j := 1; j < r; j++ {
 		targets[j-1] = int64(j) * n / int64(r)
 	}
 	pos := msel.Select(c, data, targets, less, seed)
-	t1 := coll.TimedBarrier(c)
+	m.Lap(c, level, PhaseSplitterSelection, 0)
 	sel.End()
-	stats.addLevel(level, PhaseSplitterSelection, t1-t0)
 
 	// --- Phase: data delivery ------------------------------------------
 	pieces := make([][]E, r)
@@ -96,11 +74,14 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// staging, on the TCP backend the decoding of later messages behind
 	// earlier ones (DESIGN.md §10), and under an order hook the
 	// extraction of each chunk's prefix sidecar.
-	exch := st.rec.StartLevel(obs.SpanExchange, level)
+	exch := m.rec.StartLevel(obs.SpanExchange, level)
 	chunks, cpfx := streamRuns(c, pieces, dopt, st)
-	t2 := coll.TimedBarrier(c)
-	exch.End()
-	stats.addLevel(level, PhaseDataDelivery, t2-t1)
+	var total int
+	for _, ch := range chunks {
+		total += len(ch)
+	}
+	m.Lap(c, level, PhaseDataDelivery, int64(total))
+	exch.N(int64(total)).End()
 
 	// --- Phase: bucket processing (multiway merging) --------------------
 	// The received chunks are sorted runs; merge instead of re-sorting
@@ -112,23 +93,15 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// prefixes: under either contract, exact or not, comparing hook
 	// values first and less only on ties decides every match exactly
 	// like the plain merge (nil sidecars, no hook).
-	var total int
-	for _, ch := range chunks {
-		total += len(ch)
-	}
-	exch.N(int64(total))
-	stats.PhaseBytes[PhaseDataDelivery] += int64(total) * st.eb
-	mg := st.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
+	mg := m.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
 	merged := seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
 	cost.Ops(seq.MultiwayOps(int64(total), len(chunks)))
-	// data is dead once the barrier below has passed: every PE holding
-	// chunks into it has merged them out. Retire it for recycling.
+	// data is dead once the fence of the Lap below has passed: every PE
+	// holding chunks into it has merged them out. Retire it for recycling.
 	st.retire(data)
-	t3 := coll.TimedBarrier(c)
+	m.Lap(c, level, PhaseBucketProcessing, int64(total))
 	mg.End()
-	stats.addLevel(level, PhaseBucketProcessing, t3-t2)
-	stats.PhaseBytes[PhaseBucketProcessing] += int64(total) * st.eb
 
 	sub, _ := c.SplitEqual(r)
-	return rlmLevel(sub, merged, less, cfg, plan, level+1, stats, st)
+	return rlmLevel(sub, merged, less, cfg, plan, level+1, m, st)
 }

@@ -144,6 +144,9 @@ func TestConcurrentJobsByteIdenticalToSequential(t *testing.T) {
 				t.Errorf("concurrent job %d: HTTP %d %q (%s)", i, code, st.Status, body)
 				return
 			}
+			if st.BytesMoved <= 0 {
+				t.Errorf("concurrent %s job %d: bytes_moved %d, want > 0", st.Algo, i, st.BytesMoved)
+			}
 			concurrent[i] = st.Keys
 		}(i)
 	}
@@ -156,6 +159,9 @@ func TestConcurrentJobsByteIdenticalToSequential(t *testing.T) {
 		code, st, body := postJob(t, url, req(i))
 		if code != http.StatusOK || st.Status != StatusDone {
 			t.Fatalf("sequential job %d: HTTP %d %q (%s)", i, code, st.Status, body)
+		}
+		if st.BytesMoved <= 0 {
+			t.Errorf("sequential %s job %d: bytes_moved %d, want > 0", st.Algo, i, st.BytesMoved)
 		}
 		if !slices.Equal(concurrent[i], st.Keys) {
 			t.Fatalf("job %d: concurrent output differs from sequential (%d vs %d keys)",
