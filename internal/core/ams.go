@@ -419,87 +419,72 @@ func amsPartition[E any](c comm.Communicator, data []E, splitters []tagged[E], l
 	for i, s := range splitters {
 		keys[i] = s.key
 	}
-	// tieFix is the Appendix-D fix-up: the element at position i equal
-	// to a splitter key goes after the splitters of that key's run
-	// whose (PE, position) tags precede its own (me, i). Inside a run
-	// the tags are sorted by (pe, idx), and every classification pass
-	// visits positions in increasing order, so lower-PE tags are passed
-	// at once and own tags one at a time as i grows (DESIGN.md §9). Each
-	// run, indexed by its first splitter runLo, keeps its current bucket
-	// ans and thr, the last position that leaves the tag at ans unpassed:
-	// one compare per element, no comparator call.
+	// The Appendix-D fix-up (seq.TieTable, DESIGN.md §9): the element at
+	// position i equal to a splitter key goes after the splitters of
+	// that key's run whose (PE, position) tags precede its own (me, i).
+	// Inside a run the tags are sorted by (pe, idx), so from this PE a
+	// tag is a position threshold: −1 for a lower-PE tag, an own tag's
+	// idx, MaxInt32 for a higher-PE tag.
 	me := int32(c.Rank())
-	m := int32(len(keys))
-	runLo := make([]int32, m)
-	ans := make([]int32, m)
-	thr := make([]int32, m)
-	// thrOf: −1 for a lower-PE tag, an own tag's idx, MaxInt32 for a
-	// higher-PE tag or past the run's end.
-	thrOf := func(lo, k int32) int32 {
-		switch {
-		case k == m || runLo[k] != lo || splitters[k].pe > me:
-			return math.MaxInt32
-		case splitters[k].pe < me:
-			return -1
-		}
-		return splitters[k].idx
-	}
-	for j := int32(0); j < m; j++ {
-		runLo[j] = j
+	runLo := make([]int32, len(keys))
+	tag := make([]int32, len(keys))
+	for j, s := range splitters {
 		if j > 0 && !less(keys[j-1], keys[j]) {
 			runLo[j] = runLo[j-1]
+		} else {
+			runLo[j] = int32(j)
 		}
-		if runLo[j] == j {
-			ans[j], thr[j] = j, thrOf(j, j)
+		switch {
+		case s.pe < me:
+			tag[j] = -1
+		case s.pe > me:
+			tag[j] = math.MaxInt32
+		default:
+			tag[j] = s.idx
 		}
 	}
-	tieFix := func(i int, lo int32) int {
-		for int32(i) > thr[lo] {
-			ans[lo]++
-			thr[lo] = thrOf(lo, ans[lo])
-		}
-		return int(ans[lo])
-	}
+	ties := seq.NewTieTable(runLo, tag)
 
 	var bounds []int
 	var levels int
 	if spfx := splitterPrefixes(keys, st.hook); spfx != nil {
 		// The branchless uint64 descent over the splitters' prefixes.
 		// Only elements whose prefix collides with a splitter's leave it:
-		// a coarse prefix binary-searches the run of equal-prefix
-		// splitters with the comparator, and an element equal to a
-		// splitter key goes to the tie fix-up — for everything else a
-		// strict prefix inequality already decides the order.
+		// under an exact hook the equal-prefix splitters are the key's
+		// run, so the tie table resolves them (a whole run of equal
+		// elements at once); a coarse prefix binary-searches the run
+		// with the comparator first. For everything else a strict
+		// prefix inequality already decides the order.
 		pc := seq.NewPrefixClassifier(spfx)
 		levels = pc.Levels()
 		if len(st.ids) < len(data) {
 			st.ids = make([]uint16, len(data))
 		}
-		seq.ClassifyPrefixed(data, st.hook, pc, st.ids, func(i, lo, hi int) int {
-			// Under an exact hook the equal-prefix run is the key's run.
-			if !st.exact {
+		if st.exact {
+			seq.ClassifyKeyedTies(data, st.hook, pc, st.ids, ties)
+		} else {
+			seq.ClassifyPrefixed(data, st.hook, pc, st.ids, func(i, lo, hi int) int {
 				x := data[i]
 				hi = lo + seq.UpperBound(keys[lo:hi], x, less)
 				if hi == 0 || less(keys[hi-1], x) {
 					return hi
 				}
-				lo = int(runLo[hi-1])
-			}
-			return tieFix(i, int32(lo))
-		})
+				return ties.Bucket(i, int(runLo[hi-1]))
+			})
+		}
 		bounds = seq.PartitionInPlaceIDs(data, nb, st.ids[:len(data)])
 	} else {
 		// The generic comparator tree (NoPrefix, element types without a
 		// prefix): x ≥ keys[b-1] by construction, so one more compare
 		// tells an element equal to a splitter key, which goes to the
-		// tie fix-up.
+		// tie table.
 		cls := seq.NewClassifier(keys, less)
 		levels = cls.Levels()
 		i := 0
 		bounds, st.ids = seq.PartitionInPlace(data, nb, func(x E) int {
 			b := cls.Bucket(x)
 			if b > 0 && !less(keys[b-1], x) {
-				b = tieFix(i, runLo[b-1])
+				b = ties.Bucket(i, int(runLo[b-1]))
 			}
 			i++
 			return b

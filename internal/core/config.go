@@ -152,10 +152,13 @@ func (m *Meter) book(level int, ph Phase, ns, n int64) {
 // narrative (shape knobs, then hooks).
 type Config struct {
 	// Levels is the number of recursion levels k (≥1). 0 means 1.
+	// Without Rs, p ≤ 16 runs ONE level whatever Levels says (see
+	// PlanLevels); Stats.Levels reports what ran.
 	Levels int
 	// Rs optionally fixes the number of groups per level (length Levels;
 	// the last entry is effectively the remaining group size). nil picks
-	// PlanLevels(p, Levels).
+	// PlanLevels(p, Levels). Naming the groups here is how p ≤ 16 gets
+	// more than one level.
 	Rs []int
 	// Oversampling is the factor a; 0 picks the paper's experimental
 	// default a = 1.6·log₁₀(n) (§7.2).
@@ -299,6 +302,8 @@ func effectiveB(cfg Config, r int) int {
 // 2^⌈log₂(p/16)/2⌉ groups. k=1 is the classic single-level algorithm
 // with r = p. The plan generalizes to any p and k by splitting the
 // remaining log₂(p/16) bits into k-1 near-equal parts, larger first.
+// p ≤ 16 leaves no bits to split, so it returns [p] — one level — for
+// every k; Config.Rs is the way to run more levels there.
 func PlanLevels(p, k int) []int {
 	if k <= 1 || p <= 16 {
 		return []int{p}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -238,6 +239,65 @@ func TestAMSTieBreakBalance(t *testing.T) {
 			}
 		}
 	}
+
+	// Records with distinct payloads (V, the global input position)
+	// reveal the order of equal keys as well as their buckets: the
+	// exact key, a coarse prefix and the comparator tree must agree
+	// byte for byte.
+	type rec struct{ K, V int }
+	recLess := func(a, b rec) bool { return a.K < b.K }
+	recHooks := []struct {
+		name string
+		cfg  Config
+	}{
+		{"key", Config{Key: func(x rec) uint64 { return uint64(x.K) }}},
+		{"coarse", Config{Prefix: func(x rec) uint64 { return uint64(x.K) >> 2 }}},
+		{"noprefix", Config{NoPrefix: true}},
+	}
+	for name, locals := range inputs {
+		recs := make([][]rec, p)
+		for r, l := range locals {
+			recs[r] = make([]rec, len(l))
+			for j, k := range l {
+				recs[r][j] = rec{K: k, V: r*perPE + j}
+			}
+		}
+		for _, rs := range [][]int{nil, {4, 4}} {
+			var ref [][]rec
+			for _, h := range recHooks {
+				cfg := h.cfg
+				cfg.Seed = 11
+				if rs != nil {
+					cfg.Levels, cfg.Rs = 2, rs
+				}
+				outs := make([][]rec, p)
+				sim.NewDefault(p).Run(func(pe *sim.PE) {
+					data := append([]rec(nil), recs[pe.Rank()]...)
+					outs[pe.Rank()], _ = AMSSort(sim.World(pe), data, recLess, cfg)
+				})
+				if ref != nil {
+					if !reflect.DeepEqual(outs, ref) {
+						t.Errorf("records %s Rs=%v: %s path output differs from %s", name, rs, h.name, recHooks[0].name)
+					}
+					continue
+				}
+				ref = outs
+				total, prev := 0, math.MinInt
+				for _, o := range outs {
+					for _, x := range o {
+						if x.K < prev {
+							t.Fatalf("records %s Rs=%v: output not globally sorted", name, rs)
+						}
+						prev = x.K
+					}
+					total += len(o)
+				}
+				if total != p*perPE {
+					t.Fatalf("records %s Rs=%v: %d elements out, %d in", name, rs, total, p*perPE)
+				}
+			}
+		}
+	}
 }
 
 func TestAMSImbalanceBound(t *testing.T) {
@@ -254,11 +314,24 @@ func TestAMSImbalanceBound(t *testing.T) {
 	}
 }
 
+// checkTwoLevels fails unless every PE ran two levels: the two-level
+// cases below name their group plan in Rs, because PlanLevels keeps
+// p ≤ 16 on one level.
+func checkTwoLevels(t *testing.T, what string, stats []*Stats) {
+	t.Helper()
+	for rank, st := range stats {
+		if st.Levels != 2 {
+			t.Errorf("%s: PE %d ran %d levels, want 2", what, rank, st.Levels)
+		}
+	}
+}
+
 func TestSortersEdgeCases(t *testing.T) {
 	for name, fn := range map[string]sorterFn{"AMS": AMSSort[int], "RLM": RLMSort[int]} {
 		// Empty everywhere.
-		outs, _ := runSorter(4, [][]int{{}, {}, {}, {}}, Config{Levels: 2, Seed: 1}, fn)
+		outs, stats := runSorter(4, [][]int{{}, {}, {}, {}}, Config{Levels: 2, Rs: []int{2, 2}, Seed: 1}, fn)
 		checkSorted(t, [][]int{{}, {}, {}, {}}, outs)
+		checkTwoLevels(t, name+" empty", stats)
 		// Fewer elements than PEs.
 		locals := [][]int{{5}, {}, {3}, {}}
 		outs, _ = runSorter(4, locals, Config{Levels: 1, Seed: 2}, fn)
@@ -269,8 +342,9 @@ func TestSortersEdgeCases(t *testing.T) {
 		for i := range locals[0] {
 			locals[0][i] = rng.Intn(1000)
 		}
-		outs, _ = runSorter(8, locals, Config{Levels: 2, Seed: 3}, fn)
+		outs, stats = runSorter(8, locals, Config{Levels: 2, Rs: []int{2, 4}, Seed: 3}, fn)
 		checkSorted(t, locals, outs)
+		checkTwoLevels(t, name+" one-PE", stats)
 		// Already sorted / reverse sorted inputs.
 		locals = make([][]int, 4)
 		for i := range locals {
@@ -280,9 +354,9 @@ func TestSortersEdgeCases(t *testing.T) {
 			}
 			locals[i] = loc
 		}
-		outs, _ = runSorter(4, locals, Config{Levels: 2, Seed: 4}, fn)
+		outs, stats = runSorter(4, locals, Config{Levels: 2, Rs: []int{2, 2}, Seed: 4}, fn)
 		checkSorted(t, locals, outs)
-		_ = name
+		checkTwoLevels(t, name+" sorted", stats)
 	}
 }
 
@@ -291,11 +365,13 @@ func TestSortersAllDeliveryStrategies(t *testing.T) {
 	p := 12
 	locals := uniformLocals(rng, p, 40, 1<<16)
 	for _, strat := range []delivery.Strategy{delivery.Simple, delivery.Randomized, delivery.RandomizedAdvanced, delivery.Deterministic} {
-		cfg := Config{Levels: 2, Seed: 13, Delivery: delivery.Options{Strategy: strat}}
-		outs, _ := runSorter(p, locals, cfg, AMSSort[int])
+		cfg := Config{Levels: 2, Rs: []int{3, 4}, Seed: 13, Delivery: delivery.Options{Strategy: strat}}
+		outs, stats := runSorter(p, locals, cfg, AMSSort[int])
 		checkSorted(t, locals, outs)
-		outs, _ = runSorter(p, locals, cfg, RLMSort[int])
+		checkTwoLevels(t, "AMS "+strat.String(), stats)
+		outs, stats = runSorter(p, locals, cfg, RLMSort[int])
 		checkSorted(t, locals, outs)
+		checkTwoLevels(t, "RLM "+strat.String(), stats)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"pmsort/internal/sim"
 )
 
-// refTieBucket is the binary-search Appendix-D classification that
-// tieFix's run table replaced, kept as the reference: the element's
-// Classifier.Bucket, except that an element equal to a splitter key
+// refTieBucket is the binary-search Appendix-D classification that the
+// tie table (seq.TieTable) replaced, kept as the reference: the
+// element's Classifier.Bucket, except that an element equal to a splitter key
 // lands at the first splitter of that key's run whose (PE, position)
 // tag is not below its own (me, i).
 func refTieBucket[E any](splitters []tagged[E], less func(a, b E) bool, me int32, i int, x E) int {
@@ -40,6 +40,10 @@ func refTieBucket[E any](splitters []tagged[E], less func(a, b E) bool, me int32
 // tag sits at position 0 (key 5); PE 0 owns adjacent positions 5 and 6
 // (key 10); runs made only of one PE's tags (keys 5, 12, 35, 40); and
 // PE 2 passes three own tags of key 30, so its thr advances three times.
+// Besides random positions, a "runs" layout writes equal-key runs of
+// length 1–9 that start at every offset of the descent's blocks of
+// four; a run around each own tag takes that tag's key, so runs
+// straddle own-tag thresholds and are filled one segment per crossing.
 func TestTieFixMatchesBinarySearch(t *testing.T) {
 	type kv struct{ K, V int } // V: the element's input position
 	less := func(a, b kv) bool { return a.K < b.K }
@@ -67,27 +71,45 @@ func TestTieFixMatchesBinarySearch(t *testing.T) {
 	}
 	const p, n = 5, 48
 	for name, proto := range branches {
-		sim.NewDefault(p).Run(func(pe *sim.PE) {
-			me := int32(pe.Rank())
-			rng := rand.New(rand.NewSource(int64(me) + 1))
-			data := make([]kv, n)
-			for i := range data {
-				data[i] = kv{K: domain[rng.Intn(len(domain))], V: i}
-			}
-			for _, s := range splitters {
-				if s.pe == me && int(s.idx) < n { // a splitter is a sample of its PE's data
-					data[s.idx].K = s.key.K
+		for _, layout := range []string{"random", "runs"} {
+			sim.NewDefault(p).Run(func(pe *sim.PE) {
+				me := int32(pe.Rank())
+				rng := rand.New(rand.NewSource(int64(me) + 1))
+				data := make([]kv, n)
+				for i := range data {
+					data[i] = kv{K: domain[rng.Intn(len(domain))], V: i}
 				}
-			}
-			st := proto // a private id scratch per PE
-			_, bounds := amsPartition(sim.World(pe), data, splitters, less, &st)
-			for b := 0; b+1 < len(bounds); b++ {
-				for _, e := range data[bounds[b]:bounds[b+1]] {
-					if want := refTieBucket(splitters, less, me, e.V, e); b != want {
-						t.Errorf("%s: PE %d position %d key %d in bucket %d, reference %d", name, me, e.V, e.K, b, want)
+				if layout == "runs" {
+					for lo := 0; lo < n; {
+						hi := min(n, lo+1+rng.Intn(9))
+						k := domain[rng.Intn(len(domain))]
+						for _, s := range splitters {
+							if s.pe == me && int(s.idx) >= lo && int(s.idx) < hi {
+								k = s.key.K
+								break
+							}
+						}
+						for i := lo; i < hi; i++ {
+							data[i].K = k
+						}
+						lo = hi
 					}
 				}
-			}
-		})
+				for _, s := range splitters {
+					if s.pe == me && int(s.idx) < n { // a splitter is a sample of its PE's data
+						data[s.idx].K = s.key.K
+					}
+				}
+				st := proto // a private id scratch per PE
+				_, bounds := amsPartition(sim.World(pe), data, splitters, less, &st)
+				for b := 0; b+1 < len(bounds); b++ {
+					for _, e := range data[bounds[b]:bounds[b+1]] {
+						if want := refTieBucket(splitters, less, me, e.V, e); b != want {
+							t.Errorf("%s %s: PE %d position %d key %d in bucket %d, reference %d", name, layout, me, e.V, e.K, b, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -17,7 +17,14 @@ func NewKeyedClassifier(splitters []uint64) *KeyedClassifier {
 // compares, feeding PartitionInPlaceIDs. ids must have len(data)
 // capacity.
 func ClassifyKeyed[E any](data []E, key func(E) uint64, kc *KeyedClassifier, ids []uint16) {
-	// The equal-key splitter run [lo, hi) sits at or below the key, so
-	// the bucket is hi.
-	ClassifyPrefixed(data, key, kc, ids, func(_, _, hi int) int { return hi })
+	ClassifyKeyedTies(data, key, kc, ids, nil)
+}
+
+// ClassifyKeyedTies is ClassifyKeyed with Appendix-D tie-breaking: an
+// element whose key equals a splitter key goes to tt's bucket for its
+// position, looked up in the equal-key run of that key (under the key
+// contract, the splitters sharing a key are exactly one such run). A
+// nil tt is ClassifyKeyed. ids must have len(data) capacity.
+func ClassifyKeyedTies[E any](data []E, key func(E) uint64, kc *KeyedClassifier, ids []uint16, tt *TieTable) {
+	classify(data, key, kc, ids, nil, tt)
 }

@@ -317,23 +317,75 @@ func step(tree []uint64, n int, k uint64) int {
 // takes exactly Levels steps; four elements descend in lockstep so the
 // four independent compare chains overlap in flight — the super scalar
 // sample sort argument (paper §2.2), here applied for real rather than
-// only in the cost model.
+// only in the cost model. A block of four equal prefixes starts a run
+// instead: it is extended to its end and descended once (classify).
 func ClassifyPrefixed[E any](data []E, prefix func(E) uint64, pc *PrefixClassifier, ids []uint16, fallback func(i, lo, hi int) int) {
+	classify(data, prefix, pc, ids, fallback, nil)
+}
+
+// classify is the one descent loop of ClassifyPrefixed, ClassifyKeyed
+// and ClassifyKeyedTies. An element whose prefix equals a splitter
+// prefix goes to fallback when it is non-nil (an inexact hook), else to
+// the tie table tt when it is non-nil (an exact hook with Appendix-D
+// tie-breaking), else to the top of its equal-key splitter run (an
+// exact hook: the descent's bucket).
+//
+// The run rule: when the four prefixes of a block are equal, the run is
+// extended while the prefix repeats, descended once, and resolved
+// whole — a run colliding with no splitter fills one bucket, a
+// colliding one is filled by tt one segment per threshold crossing, and
+// only under fallback does a colliding run still cost a call per
+// element. Input without such blocks pays one compare per block of
+// four, which its data predicts every time.
+func classify[E any](data []E, prefix func(E) uint64, pc *PrefixClassifier, ids []uint16, fallback func(i, lo, hi int) int, tt *TieTable) {
 	tree, levels := pc.tree, pc.levels
 	size, m := len(tree), len(pc.spfx)
 	spfx, runStart := pc.spfx, pc.runStart
 	n := len(data)
-	resolve := func(i int, k uint64, b int) uint16 {
-		if b > 0 && spfx[b-1] == k {
-			// spfx is sorted, so every splitter with this prefix sits in
-			// one run ending at b (the descent counted all of them ≤ k).
-			return uint16(fallback(i, int(runStart[b-1]), b))
+	// tie resolves the elements [i, j), whose prefix equals the prefix
+	// of the splitter run ending at b (spfx is sorted, so the descent
+	// counted all of that run).
+	tie := func(i, j, b int) {
+		lo := int(runStart[b-1])
+		switch {
+		case fallback != nil:
+			for x := i; x < j; x++ {
+				ids[x] = uint16(fallback(x, lo, b))
+			}
+		case tt != nil:
+			tt.fillRun(ids, i, j, lo)
+		default:
+			fill(ids[i:j], uint16(b))
 		}
-		return uint16(b)
+	}
+	// put is tie for one element, without the segment bookkeeping.
+	put := func(i int, k uint64, b int) {
+		if b > 0 && spfx[b-1] == k {
+			switch lo := int(runStart[b-1]); {
+			case fallback != nil:
+				b = fallback(i, lo, b)
+			case tt != nil:
+				b = tt.Bucket(i, lo)
+			}
+		}
+		ids[i] = uint16(b)
 	}
 	i := 0
-	for ; i+4 <= n; i += 4 {
+	for i+4 <= n {
 		k0, k1, k2, k3 := prefix(data[i]), prefix(data[i+1]), prefix(data[i+2]), prefix(data[i+3])
+		if k0 == k1 && k1 == k2 && k2 == k3 {
+			j := i + 4
+			for j < n && prefix(data[j]) == k0 {
+				j++
+			}
+			if b := pc.bucket(k0); b > 0 && spfx[b-1] == k0 {
+				tie(i, j, b)
+			} else {
+				fill(ids[i:j], uint16(b))
+			}
+			i = j
+			continue
+		}
 		n0, n1, n2, n3 := 1, 1, 1, 1
 		for l := 0; l < levels; l++ {
 			n0 = step(tree, n0, k0)
@@ -341,13 +393,14 @@ func ClassifyPrefixed[E any](data []E, prefix func(E) uint64, pc *PrefixClassifi
 			n2 = step(tree, n2, k2)
 			n3 = step(tree, n3, k3)
 		}
-		ids[i] = resolve(i, k0, min(n0-size, m))
-		ids[i+1] = resolve(i+1, k1, min(n1-size, m))
-		ids[i+2] = resolve(i+2, k2, min(n2-size, m))
-		ids[i+3] = resolve(i+3, k3, min(n3-size, m))
+		put(i, k0, min(n0-size, m))
+		put(i+1, k1, min(n1-size, m))
+		put(i+2, k2, min(n2-size, m))
+		put(i+3, k3, min(n3-size, m))
+		i += 4
 	}
 	for ; i < n; i++ {
 		k := prefix(data[i])
-		ids[i] = resolve(i, k, pc.bucket(k))
+		put(i, k, pc.bucket(k))
 	}
 }

@@ -119,4 +119,67 @@ func BenchmarkClassifyPrefixed(b *testing.B) {
 			ClassifyPrefixed(data, identity, pc, ids, fallback)
 		}
 	})
+	// runs: what a second AMS level classifies on duplicate-heavy
+	// input under an exact hook — constant runs against splitters that
+	// repeat keys — with the Appendix-D tie table (rebuilt per call, as
+	// every level builds its own).
+	b.Run("runs", func(b *testing.B) {
+		keys := levelOneRuns(n)
+		rng := rand.New(rand.NewSource(43))
+		spl := make([]uint64, m)
+		for i := range spl {
+			spl[i] = keys[rng.Intn(n)]
+		}
+		sortSplitters(spl)
+		runLo, tag := tieTags(rng, spl, n)
+		kc := NewKeyedClassifier(spl)
+		ids := make([]uint16, n)
+		key := func(e uint64) uint64 { return e }
+		b.SetBytes(int64(8 * n))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ClassifyKeyedTies(keys, key, kc, ids, NewTieTable(runLo, tag))
+		}
+	})
+}
+
+// levelOneRuns builds n keys shaped like the input of a second AMS
+// level on duplicate-heavy data: four received chunks, each a sorted
+// sequence of runs over the same 16 keys.
+func levelOneRuns(n int) []uint64 {
+	rng := rand.New(rand.NewSource(44))
+	out := make([]uint64, 0, n)
+	for c := 0; c < 4; c++ {
+		chunk := make([]uint64, n/4)
+		for i := range chunk {
+			chunk[i] = uint64(rng.Intn(16)) << 40
+		}
+		SortStable(chunk, func(a, b uint64) bool { return a < b })
+		out = append(out, chunk...)
+	}
+	return out
+}
+
+// BenchmarkHistKeyed measures the radix histogram pass on uniform keys
+// and on the run-structured keys of levelOneRuns.
+func BenchmarkHistKeyed(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(45))
+	uniform := make([]uint64, n)
+	for i := range uniform {
+		uniform[i] = rng.Uint64()
+	}
+	key := func(e uint64) uint64 { return e }
+	for _, in := range []struct {
+		name string
+		data []uint64
+	}{{"uniform", uniform}, {"runs", levelOneRuns(n)}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				var h KeyedHist
+				HistKeyed(in.data, key, &h)
+			}
+		})
+	}
 }

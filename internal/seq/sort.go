@@ -79,19 +79,34 @@ type KeyedHist struct {
 	n    int
 }
 
-// HistKeyed folds data's keys into the histograms.
+// HistKeyed folds data's keys into the histograms, one run of equal
+// keys at a time: one compare per element, and the eight digit counts
+// of a run are bumped once by its length. No run state survives the
+// call, so chunked calls add up to the histogram of the concatenation.
 func HistKeyed[E any](data []E, key func(E) uint64, h *KeyedHist) {
 	h.n += len(data)
+	if len(data) == 0 {
+		return
+	}
+	k, c := key(data[0]), 0
 	for _, e := range data {
-		k := key(e)
-		h.hist[0][k&0xff]++
-		h.hist[1][(k>>8)&0xff]++
-		h.hist[2][(k>>16)&0xff]++
-		h.hist[3][(k>>24)&0xff]++
-		h.hist[4][(k>>32)&0xff]++
-		h.hist[5][(k>>40)&0xff]++
-		h.hist[6][(k>>48)&0xff]++
-		h.hist[7][(k>>56)&0xff]++
+		x := key(e)
+		if x == k {
+			c++
+			continue
+		}
+		h.hist[0][k&0xff] += c
+		h.hist[1][(k>>8)&0xff] += c
+		h.hist[2][(k>>16)&0xff] += c
+		h.hist[3][(k>>24)&0xff] += c
+		h.hist[4][(k>>32)&0xff] += c
+		h.hist[5][(k>>40)&0xff] += c
+		h.hist[6][(k>>48)&0xff] += c
+		h.hist[7][(k>>56)&0xff] += c
+		k, c = x, 1
+	}
+	for d := range h.hist { // the last run
+		h.hist[d][(k>>(8*d))&0xff] += c
 	}
 }
 

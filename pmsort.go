@@ -437,7 +437,8 @@ func GatherTrace(c Communicator) *ObsTrace { return obs.Gather(c, obs.From(c)) }
 func World(pe *PE) Communicator { return sim.World(pe) }
 
 // PlanLevels returns the per-level group counts used by the weak-scaling
-// experiments (Table 1).
+// experiments (Table 1). p ≤ 16 gets one level for every k; set
+// Config.Rs to run more levels there.
 func PlanLevels(p, k int) []int { return core.PlanLevels(p, k) }
 
 // AMSSort sorts the distributed data with adaptive multi-level sample
