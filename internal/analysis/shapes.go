@@ -100,7 +100,6 @@ func CommRecvTag(info *types.Info, call *ast.CallExpr) (tag ast.Expr, ok bool) {
 // for functions in a package whose basename is "coll" or "delivery".
 var collPayloadArg = map[string]int{
 	"Bcast":                      2,
-	"BcastPipelined":             2,
 	"Reduce":                     2,
 	"Allreduce":                  1,
 	"ExScan":                     1,

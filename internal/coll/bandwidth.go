@@ -5,7 +5,6 @@ import "pmsort/internal/comm"
 const (
 	tagRabScatter = 0x6c1001
 	tagRabGather  = 0x6c1002
-	tagPipeBcast  = 0x6c1003
 )
 
 // seg is one offset-stamped segment of the recursive-doubling allgather
@@ -88,56 +87,4 @@ func AllreduceSumI64(c comm.Communicator, vec []int64) []int64 {
 		}
 	}
 	return cur
-}
-
-// BcastPipelined broadcasts root's value along a binary tree in `chunks`
-// back-to-back messages of ⌈words/chunks⌉ words. With chunks ≈
-// √(ℓ·β/α·depth) this approaches the α·log p + O(ℓ·β) time of the
-// pipelined two-tree broadcast of [30] within a small factor (the value
-// itself rides on the first chunk; the rest are cost carriers of the
-// remaining words, exactly like the fragments of a real implementation).
-// chunks < 2 degenerates to the binomial Bcast.
-func BcastPipelined[T any](c comm.Communicator, root int, val T, words int64, chunks int) T {
-	p := c.Size()
-	if p == 1 {
-		return val
-	}
-	if chunks < 2 {
-		return Bcast(c, root, val, words)
-	}
-	if int64(chunks) > words {
-		chunks = int(words)
-		if chunks < 2 {
-			return Bcast(c, root, val, words)
-		}
-	}
-	chunkWords := (words + int64(chunks) - 1) / int64(chunks)
-	vr := (c.Rank() - root + p) % p
-	toReal := func(v int) int { return (v + root) % p }
-	left, right := 2*vr+1, 2*vr+2
-
-	forward := func(payload any, w int64) {
-		if left < p {
-			c.Send(toReal(left), tagPipeBcast, payload, w)
-		}
-		if right < p {
-			c.Send(toReal(right), tagPipeBcast, payload, w)
-		}
-	}
-	if vr == 0 {
-		forward(val, chunkWords)
-		for i := 1; i < chunks; i++ {
-			forward(nil, chunkWords)
-		}
-		return val
-	}
-	parent := toReal((vr - 1) / 2)
-	pl, _ := c.Recv(parent, tagPipeBcast)
-	val = pl.(T)
-	forward(val, chunkWords)
-	for i := 1; i < chunks; i++ {
-		c.Recv(parent, tagPipeBcast)
-		forward(nil, chunkWords)
-	}
-	return val
 }

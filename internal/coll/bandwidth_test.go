@@ -71,56 +71,3 @@ func TestRabenseifnerCheaperThanTree(t *testing.T) {
 		t.Errorf("Rabenseifner (%d ns) not faster than tree (%d ns) for l=%d p=%d", rab, tree, l, p)
 	}
 }
-
-func TestBcastPipelinedCorrect(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 16, 33} {
-		for root := 0; root < p; root += 1 + p/2 {
-			m := sim.NewDefault(p)
-			m.Run(func(pe *sim.PE) {
-				c := sim.World(pe)
-				got := BcastPipelined(c, root, 4000+root, 1<<12, 16)
-				if got != 4000+root {
-					t.Errorf("p=%d root=%d rank=%d: got %d", p, root, pe.Rank(), got)
-				}
-			})
-		}
-	}
-}
-
-func TestBcastPipelinedDegenerate(t *testing.T) {
-	m := sim.NewDefault(4)
-	m.Run(func(pe *sim.PE) {
-		c := sim.World(pe)
-		if got := BcastPipelined(c, 0, "x", 1, 8); got != "x" {
-			t.Errorf("tiny payload: %v", got)
-		}
-		if got := BcastPipelined(c, 0, "y", 100, 1); got != "y" {
-			t.Errorf("chunks=1: %v", got)
-		}
-	})
-}
-
-// TestBcastPipelinedFasterForLongMessages: the binomial tree's critical
-// path carries ℓβ per level (the root alone sends log p full copies), so
-// for deep trees and long messages the chunked binary tree — whose nodes
-// pay ≈3ℓβ once, overlapped across levels — must win.
-func TestBcastPipelinedFasterForLongMessages(t *testing.T) {
-	const p = 1024
-	const words = 1 << 16
-	run := func(chunks int) int64 {
-		m := sim.New(p, sim.FlatTopology(), sim.DefaultCost())
-		res := m.Run(func(pe *sim.PE) {
-			c := sim.World(pe)
-			if chunks <= 1 {
-				Bcast(c, 0, 1, words)
-			} else {
-				BcastPipelined(c, 0, 1, words, chunks)
-			}
-		})
-		return res.MaxTime
-	}
-	binomial, pipelined := run(1), run(16)
-	if pipelined >= binomial {
-		t.Errorf("pipelined bcast (%d ns) not faster than binomial (%d ns)", pipelined, binomial)
-	}
-}

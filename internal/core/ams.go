@@ -53,7 +53,11 @@ func taggedLess[E any](less func(a, b E) bool) func(a, b tagged[E]) bool {
 //     keyed kernels end to end, inexact ones the prefix-cached kernels;
 //   - pfx is the prefix sidecar / merge-staging arena of the hook
 //     paths; like reuse it is dead between its level's consumers and
-//     recycled.
+//     recycled;
+//   - hist and runs carry the last AMS level's kernel state from the
+//     exchange to the finish (lastFeed, lastFinish): the radix
+//     histograms under an exact hook, the end of each sender's sorted
+//     run without a hook.
 type localScratch[E any] struct {
 	hook  func(E) uint64
 	exact bool
@@ -61,6 +65,8 @@ type localScratch[E any] struct {
 	reuse []E
 	pfx   []uint64
 	psc   seq.PrefixScratch[E]
+	hist  *seq.KeyedHist
+	runs  []int
 }
 
 // grab returns a zero-length buffer with capacity ≥ n, recycling the
@@ -106,6 +112,76 @@ func (st *localScratch[E]) sort(data []E, less func(a, b E) bool, cost comm.Cost
 		seq.SortStable(data, less)
 		cost.SortOps(n)
 	}
+}
+
+// lastBegin readies the last AMS level's kernel state for a
+// concatenation of at most bound elements.
+func (st *localScratch[E]) lastBegin(bound int) {
+	switch {
+	case st.exact:
+		st.hist = &seq.KeyedHist{}
+	case st.hook != nil:
+		st.pfx = slices.Grow(st.pfx[:0], bound)
+	default:
+		st.runs = st.runs[:0]
+	}
+}
+
+// lastFeed is the last AMS level's per-sender step: it appends one
+// sender's chunks to the rank-order concatenation buf and starts the
+// run's kernel on them while the exchange is still running. An exact
+// hook folds each chunk into the LSD radix histograms; an inexact one
+// appends each chunk's prefixes to the sidecar, in the same rank order
+// as buf, so the two stay aligned; without a hook the sender's span is
+// stably sorted in place, one run per sender.
+func (st *localScratch[E]) lastFeed(buf []E, chs [][]E, less func(a, b E) bool) []E {
+	from := len(buf)
+	for _, ch := range chs {
+		switch {
+		case st.exact:
+			seq.HistKeyed(ch, st.hook, st.hist)
+		case st.hook != nil:
+			st.pfx = seq.ExtractPrefixes(st.pfx, ch, st.hook)
+		}
+		buf = append(buf, ch...)
+	}
+	if st.hook == nil && len(buf) > from {
+		seq.SortStable(buf[from:], less)
+		st.runs = append(st.runs, len(buf))
+	}
+	return buf
+}
+
+// lastFinish completes the stable sort of the concatenation next that
+// lastFeed built and charges its modeled cost, with the retired level
+// buffer as output or scratch: the LSD radix on the accumulated
+// histograms (exact hook; whichever buffer holds the result is
+// returned), the prefix radix over the sidecar (inexact hook), or one
+// stable merge of the per-sender runs (no hook; ties go to the lower
+// sender, as in the concatenation).
+func (st *localScratch[E]) lastFinish(next []E, less func(a, b E) bool, cost comm.Cost) []E {
+	n := int64(len(next))
+	scratch := st.grab(len(next))
+	switch {
+	case st.exact:
+		sorted, _ := seq.SortKeyedHist(next, st.hook, scratch[:cap(scratch)], st.hist)
+		cost.Ops(seq.SortKeyedOps(n))
+		return sorted
+	case st.hook != nil:
+		st.psc.Donate(scratch[:cap(scratch)])
+		seq.SortPrefixed(next, st.pfx, less, &st.psc)
+		cost.Ops(seq.SortPrefixedOps(n))
+		return next
+	}
+	runs := make([][]E, len(st.runs))
+	from := 0
+	for i, end := range st.runs {
+		runs[i] = next[from:end]
+		cost.SortOps(int64(end - from))
+		from = end
+	}
+	cost.Ops(seq.MultiwayOps(n, len(runs)))
+	return seq.MultiwayInto(scratch, runs, less)
 }
 
 // initScratch builds the run's scratch arena and resolves its order
@@ -286,83 +362,26 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	}
 
 	// After this delivery every group is a single PE: finish inline
-	// instead of recursing, choosing the cheaper last-level shape per
-	// kernel (DESIGN.md §9). On the plain comparator path each outgoing
-	// piece is sorted now, so receivers multiway-merge sorted runs
-	// instead of re-sorting a concatenation from scratch ("we do not
-	// want to ignore the information already available", §5). Runs with
-	// a hook skip the piece sort: their stable radix over the received
-	// concatenation is linear, so pre-sorting pieces would only add
-	// work. The prefix path stays byte-identical to the merge shape — a
-	// stable sort of runs concatenated in sender-rank order IS the
-	// stable merge of those runs stably pre-sorted.
+	// instead of recursing. Every kernel computes a stable sort of the
+	// received chunks concatenated in sender-rank order (DESIGN.md §9),
+	// so the prefix cache cannot change the bytes.
 	last := r == c.Size()
-	plainLast := last && st.hook == nil
 	cls.End()
-	if plainLast {
-		ts := cost.Now()
-		ps := m.rec.StartLevel(obs.SpanPieceSort, level).N(int64(len(data)))
-		for _, piece := range pieces {
-			seq.SortStable(piece, less)
-		}
-		cost.SortOps(int64(len(data)))
-		ps.End()
-		m.Local(c, level, PhaseLocalSort, ts, int64(len(data)))
-	}
 	m.Lap(c, level, PhaseBucketProcessing, int64(len(data)))
 
 	// --- Phase: data delivery ------------------------------------------
+	// The received chunks are copied into the next level's buffer in
+	// rank order while the exchange is still running (streamConcat); at
+	// the last level the copy loop also starts the run's kernel on each
+	// sender's chunks (localScratch.lastFeed). (Under delivery's
+	// Options.Batch knob the chunks all arrive after the exchange, in
+	// rank order, and the same loop runs then — byte-identical; asserted
+	// by the torture harness.)
 	dopt := cfg.Delivery
 	dopt.Seed = seed ^ 0x1f2e3d4c
-
-	if plainLast {
-		// The received chunks are sorted runs, staged in rank order as
-		// they arrive; merge them into the recycled buffer once the last
-		// one is in (a loser tree needs all its runs) — the same
-		// exchange-and-merge pair as every RLM level. Delivery coalesced
-		// contiguous same-sender spans, so k is bounded by the number of
-		// senders.
-		exch := m.rec.StartLevel(obs.SpanExchange, level)
-		chunks, cpfx := streamRuns(c, pieces, dopt, st)
-		var total int
-		for _, ch := range chunks {
-			total += len(ch)
-		}
-		tm := cost.Now()
-		mg := m.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
-		out := seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
-		cost.Ops(seq.MultiwayOps(int64(total), len(chunks)))
-		mg.End()
-		m.Local(c, level, PhaseBucketProcessing, tm, int64(total))
-		m.Lap(c, level, PhaseDataDelivery, int64(total))
-		exch.N(int64(total)).End()
-		m.Levels = level + 1
-		return out
-	}
-
-	// Concatenation shape: the received chunks are copied into the next
-	// level's buffer in rank order while the exchange is still running
-	// (streamConcat); at the last level under an exact hook the copy
-	// loop also accumulates the radix histograms, so the final radix's
-	// counting pass overlaps the exchange too, and under an inexact one
-	// it extracts the arriving chunks' prefix sidecar the same way.
-	// (Under delivery's Options.Batch knob the chunks all arrive after
-	// the exchange, in rank order, and the same loop runs then —
-	// byte-identical; asserted by the torture harness.)
 	exch := m.rec.StartLevel(obs.SpanExchange, level)
 	bound := recvBound(c.Size(), c.Rank(), r, globalSizes, starts)
-	var hook func(E) uint64
-	var hist *seq.KeyedHist
-	var pfx []uint64
-	if last && st.hook != nil {
-		hook = st.hook
-		if st.exact {
-			hist = &seq.KeyedHist{}
-		} else {
-			pfx = slices.Grow(st.pfx[:0], bound)
-		}
-	}
-	next, pfx := streamConcat(c, pieces, dopt, st.grab(bound), hook, st.exact, hist, pfx)
+	next := streamConcat(c, pieces, dopt, st.grab(bound), st, last, less)
 	total := len(next)
 	// data is dead once the fence of the Lap below has passed: every PE
 	// holding chunks into it has copied them out. Retire it for recycling.
@@ -372,27 +391,9 @@ func amsLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	exch.N(int64(total)).End()
 
 	if last {
-		// Fast-path last level: a stable radix sort of the concatenation
-		// is linear in total — no log k merge term. An exact hook runs
-		// the LSD radix with its histograms already accumulated during
-		// the exchange and the retired level buffer as the ping-pong
-		// scratch (no copy-back: whichever buffer holds the result is
-		// returned, the other dies with the run); an inexact one runs the
-		// stable prefix radix over the sidecar extracted during the
-		// exchange, with the comparator deciding only equal-prefix runs.
 		t4 := cost.Now()
 		ls := m.rec.StartLevel(obs.SpanLocalSort, level).N(int64(total))
-		scratch := st.grab(total)
-		var sorted []E
-		if st.exact {
-			sorted, _ = seq.SortKeyedHist(next, st.hook, scratch[:cap(scratch)], hist)
-			cost.Ops(seq.SortKeyedOps(int64(total)))
-		} else {
-			st.psc.Donate(scratch[:cap(scratch)])
-			seq.SortPrefixed(next, pfx, less, &st.psc)
-			cost.Ops(seq.SortPrefixedOps(int64(total)))
-			sorted = next
-		}
+		sorted := st.lastFinish(next, less, cost)
 		ls.End()
 		m.Local(c, level, PhaseLocalSort, t4, int64(total))
 		m.Levels = level + 1

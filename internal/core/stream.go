@@ -11,21 +11,21 @@ import (
 // chunks as that sender's message arrives; what a level does with them
 // depends on its shape:
 //
-//   - Concatenation levels (every non-last AMS level, and the last
-//     level of a run with an order hook, feeding the radix kernels)
-//     copy chunks into the next level buffer *during* the exchange — in
-//     sender-rank order, so the result is byte-identical to the
-//     materialize-then-concatenate batch path — and accumulate the
-//     radix histograms (exact hook) or extract the prefix sidecar
-//     (inexact hook) on the fly, so the first pass of the final radix
-//     has already happened when the last byte arrives.
-//   - Merge levels (RLM, the plain-comparator last AMS level) only
-//     stage the arriving runs (streamRuns): a loser-tree merge needs
-//     all its runs, so the merge itself starts at the last arrival.
-//     Under a hook each arriving run's prefix sidecar is extracted
-//     then. What overlaps besides is the staging and, on the TCP
-//     backend, the decode of later messages behind the processing of
-//     earlier ones.
+//   - Concatenation levels (every AMS level) copy chunks into the next
+//     level buffer *during* the exchange — in sender-rank order, so the
+//     result is byte-identical to the materialize-then-concatenate
+//     batch path. At the last level the copy also starts the run's
+//     kernel on each sender's chunks: it accumulates the radix
+//     histograms (exact hook), extracts the prefix sidecar (inexact
+//     hook), or stably sorts the sender's span (no hook), so the first
+//     pass of the final sort has already happened when the last byte
+//     arrives.
+//   - Merge levels (RLM) only stage the arriving runs (streamRuns): a
+//     loser-tree merge needs all its runs, so the merge itself starts
+//     at the last arrival. Under a hook each arriving run's prefix
+//     sidecar is extracted then. What overlaps besides is the staging
+//     and, on the TCP backend, the decode of later messages behind the
+//     processing of earlier ones.
 //
 // The batch-vs-stream decision lives in delivery alone: under its
 // Options.Batch knob DeliverStream emits every sender's chunks only
@@ -38,26 +38,23 @@ import (
 // the caller's bound). Chunks are copied as they arrive: the in-order
 // prefix eagerly — overlapping the memcpy with the remaining exchange —
 // and out-of-order arrivals staged (by reference, no copy) until their
-// turn. hook, when non-nil, additionally feeds every copied chunk to
-// the last-level kernel: an exact hook folds it into h, pre-computing
-// the LSD radix histograms of the concatenation; an inexact one appends
-// its prefixes to pfx — the sidecar is built in the same rank order as
-// buf, so the two stay aligned — pre-computing the prefix extraction of
-// the concatenation the same way.
-func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, buf []E, hook func(E) uint64, exact bool, h *seq.KeyedHist, pfx []uint64) ([]E, []uint64) {
+// turn. At the last level each sender's chunks go through
+// st.lastFeed instead, which starts the run's one kernel on them
+// during the exchange; st.lastFinish completes it.
+func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options, buf []E, st *localScratch[E], last bool, less func(a, b E) bool) []E {
 	p := c.Size()
 	pending := make([][][]E, p)
 	arrived := make([]bool, p)
 	nextSrc := 0
+	if last {
+		st.lastBegin(cap(buf))
+	}
 	add := func(chs [][]E) {
+		if last {
+			buf = st.lastFeed(buf, chs, less)
+			return
+		}
 		for _, ch := range chs {
-			switch {
-			case hook == nil:
-			case exact:
-				seq.HistKeyed(ch, hook, h)
-			default:
-				pfx = seq.ExtractPrefixes(pfx, ch, hook)
-			}
 			buf = append(buf, ch...)
 		}
 	}
@@ -70,7 +67,7 @@ func streamConcat[E any](c comm.Communicator, pieces [][]E, opt delivery.Options
 			nextSrc++
 		}
 	})
-	return buf, pfx
+	return buf
 }
 
 // streamRuns delivers pieces and stages the received chunks in

@@ -61,17 +61,18 @@ const (
 	// SpanClassify is the bucket-processing phase's classification and
 	// in-place partition (AMS); annotated with the level's imbalance.
 	SpanClassify = "classify"
-	// SpanPieceSort is the plain comparator path's pre-exchange piece
-	// sort at the last level.
+	// SpanPieceSort named the comparator last level's pre-exchange
+	// piece sort. No sorter emits it any more (every AMS last level
+	// sorts after the exchange, under SpanLocalSort); the name stays
+	// for readers that report it.
 	SpanPieceSort = "piece-sort"
 	// SpanExchange is the data-delivery phase: the bulk exchange plus
 	// whatever work the streaming consumers overlap into it.
 	SpanExchange = "exchange"
-	// SpanMerge is the multiway merge of received runs (RLM levels, the
-	// plain comparator last AMS level).
+	// SpanMerge is the multiway merge of received runs (RLM levels).
 	SpanMerge = "merge"
 	// SpanLocalSort is a local sort kernel run: the base case, the RLM
-	// initial sort, or the keyed/prefix last-level radix.
+	// initial sort, or the AMS last level's finish.
 	SpanLocalSort = "local-sort"
 	// SpanDeliver wraps one delivery.DeliverStream call (plan + bulk
 	// exchange), nested inside SpanExchange.

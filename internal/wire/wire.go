@@ -915,27 +915,6 @@ func AppendU64s(dst []byte, s []uint64) []byte {
 	return dst
 }
 
-// DecodeU64s decodes a plain-mode slice codec encoding of []uint64.
-// The output never aliases src.
-func DecodeU64s(src []byte) ([]uint64, []byte, error) {
-	n, rest, err := sliceLen(src, typU64Slice)
-	if err != nil || n < 0 {
-		return nil, rest, err
-	}
-	if n > len(rest)/8 {
-		return nil, nil, errTruncated(typU64Slice)
-	}
-	out := make([]uint64, n)
-	if hostLE {
-		copy(wordBytes(out), rest[:8*n])
-	} else {
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(rest[8*i:])
-		}
-	}
-	return out, rest[8*n:], nil
-}
-
 // AppendI64s appends the plain-mode slice codec encoding of s.
 func AppendI64s(dst []byte, s []int64) []byte {
 	if s == nil {
@@ -953,32 +932,7 @@ func AppendI64s(dst []byte, s []int64) []byte {
 	return dst
 }
 
-// DecodeI64s decodes a plain-mode slice codec encoding of []int64.
-// The output never aliases src.
-func DecodeI64s(src []byte) ([]int64, []byte, error) {
-	n, rest, err := sliceLen(src, typI64Slice)
-	if err != nil || n < 0 {
-		return nil, rest, err
-	}
-	if n > len(rest)/8 {
-		return nil, nil, errTruncated(typI64Slice)
-	}
-	out := make([]int64, n)
-	if hostLE {
-		copy(wordBytes(out), rest[:8*n])
-	} else {
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-	}
-	return out, rest[8*n:], nil
-}
-
-var (
-	typU64Slice  = reflect.TypeOf([]uint64(nil))
-	typI64Slice  = reflect.TypeOf([]int64(nil))
-	typByteSlice = reflect.TypeOf([]byte(nil))
-)
+var typByteSlice = reflect.TypeOf([]byte(nil))
 
 // ---------------------------------------------------------------------
 // Stream codec: per-stream type-name interning.

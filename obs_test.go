@@ -182,7 +182,8 @@ type spanShape struct {
 
 // TestObsSpanTree pins the span tree every rank records for a traced
 // sim sort at p = 8: two-level AMS on its keyed last level and, under
-// NoPrefix, on its merge last level, and two-level RLM. Benchmarks read
+// NoPrefix, on its comparator last level (the same shape), and
+// two-level RLM. Benchmarks read
 // spans by name and the trace validator checks their nesting, so a
 // moved, renamed or re-nested span is a diff here.
 func TestObsSpanTree(t *testing.T) {
@@ -229,10 +230,9 @@ func TestObsSpanTree(t *testing.T) {
 				{"sample", 1, 4},
 				{"splitter-sort", 1, 4},
 				{"classify", 1, 3},
-				{"piece-sort", 1, 3},
 				{"exchange", 1, 3},
 				{"deliver", -1, 4},
-				{"merge", 1, 4},
+				{"local-sort", 1, 3},
 			}},
 		{"rlm", Config{Levels: 2, Rs: []int{2, 4}, Seed: 5},
 			func(c Communicator, d []uint64, cfg Config) { RLMSort(c, d, u64Less, cfg) },
