@@ -41,13 +41,19 @@ func taggedLess[E any](less func(a, b E) bool) func(a, b tagged[E]) bool {
 // per level (DESIGN.md §9):
 //
 //   - ids is the partition id scratch of PartitionInPlace;
-//   - reuse holds the element buffer that carried this PE's data one
-//     level up. Received chunks alias the *current* buffers of their
-//     senders, and every PE has copied its received data out of them
-//     before the data-delivery barrier — so once that barrier has
-//     passed, the previous level's buffer is referenced by no one and
-//     the next level may recycle it. Levels therefore ping-pong
-//     between two buffers per PE instead of allocating one per level.
+//   - reuse is the PE's one spare element buffer: the buffer that
+//     carried this PE's data one level up. Received chunks alias the
+//     *current* buffers of their senders, and every PE has copied its
+//     received data out of them before the data-delivery barrier — so
+//     once that barrier has passed, the previous level's buffer is
+//     referenced by no one and the next level may recycle it. Levels
+//     therefore ping-pong between two buffers per PE instead of
+//     allocating one per level. A kernel that needs element-sized
+//     scratch borrows the spare instead of keeping its own: the prefix
+//     radix takes it as its payload gather buffer and gives it back
+//     (sortPrefixed), so after RLM's initial sort that buffer —
+//     allocated there when no spare exists yet — becomes the level-0
+//     merge output instead of dead weight beside it;
 //   - hook is the run's order hook (nil on the plain comparator path);
 //     exact runs (equal hook values mean order-equal elements) take the
 //     keyed kernels end to end, inexact ones the prefix-cached kernels;
@@ -106,12 +112,24 @@ func (st *localScratch[E]) sort(data []E, less func(a, b E) bool, cost comm.Cost
 		cost.Ops(seq.SortKeyedOps(n))
 	case st.hook != nil:
 		st.pfx = seq.ExtractPrefixes(st.pfx[:0], data, st.hook)
-		seq.SortPrefixed(data, st.pfx, less, &st.psc)
-		cost.Ops(seq.SortPrefixedOps(n))
+		st.sortPrefixed(data, less, cost)
 	default:
 		seq.SortStable(data, less)
 		cost.SortOps(n)
 	}
+}
+
+// sortPrefixed is the inexact-hook kernel: the prefix radix over data
+// and its sidecar st.pfx, with the spare buffer lent as its payload
+// scratch and taken back after, so the PE still holds one spare (the
+// loan, or the pair path's gather buffer when the loan was too small)
+// and never two. It charges the kernel's modeled cost.
+func (st *localScratch[E]) sortPrefixed(data []E, less func(a, b E) bool, cost comm.Cost) {
+	st.psc.Donate(st.reuse)
+	st.reuse = nil
+	seq.SortPrefixed(data, st.pfx, less, &st.psc)
+	st.reuse = st.psc.Take()
+	cost.Ops(seq.SortPrefixedOps(int64(len(data))))
 }
 
 // lastBegin readies the last AMS level's kernel state for a
@@ -161,16 +179,14 @@ func (st *localScratch[E]) lastFeed(buf []E, chs [][]E, less func(a, b E) bool) 
 // sender, as in the concatenation).
 func (st *localScratch[E]) lastFinish(next []E, less func(a, b E) bool, cost comm.Cost) []E {
 	n := int64(len(next))
-	scratch := st.grab(len(next))
 	switch {
 	case st.exact:
+		scratch := st.grab(len(next))
 		sorted, _ := seq.SortKeyedHist(next, st.hook, scratch[:cap(scratch)], st.hist)
 		cost.Ops(seq.SortKeyedOps(n))
 		return sorted
 	case st.hook != nil:
-		st.psc.Donate(scratch[:cap(scratch)])
-		seq.SortPrefixed(next, st.pfx, less, &st.psc)
-		cost.Ops(seq.SortPrefixedOps(n))
+		st.sortPrefixed(next, less, cost)
 		return next
 	}
 	runs := make([][]E, len(st.runs))
@@ -181,7 +197,7 @@ func (st *localScratch[E]) lastFinish(next []E, less func(a, b E) bool, cost com
 		from = end
 	}
 	cost.Ops(seq.MultiwayOps(n, len(runs)))
-	return seq.MultiwayInto(scratch, runs, less)
+	return seq.MultiwayInto(st.grab(len(next)), runs, less)
 }
 
 // initScratch builds the run's scratch arena and resolves its order

@@ -88,11 +88,12 @@ func rlmLevel[E any](c comm.Communicator, data []E, less func(a, b E) bool, cfg 
 	// ("we do not want to ignore the information already available", §5).
 	// Delivery coalesced contiguous same-sender spans on receive, so the
 	// loser-tree k is bounded by the number of senders even on plans
-	// that cut a piece into many spans; the output goes into the buffer
-	// retired one level up (see localScratch). Any live hook merges on
-	// prefixes: under either contract, exact or not, comparing hook
-	// values first and less only on ties decides every match exactly
-	// like the plain merge (nil sidecars, no hook).
+	// that cut a piece into many spans; the output goes into the PE's
+	// spare buffer (see localScratch): the buffer retired one level up,
+	// or at level 0 the gather buffer the initial sort handed back. Any
+	// live hook merges on prefixes: under either contract, exact or not,
+	// comparing hook values first and less only on ties decides every
+	// match exactly like the plain merge (nil sidecars, no hook).
 	mg := m.rec.StartLevel(obs.SpanMerge, level).N(int64(total))
 	merged := seq.MultiwayPrefixedInto(st.grab(total), chunks, cpfx, less)
 	cost.Ops(seq.MultiwayOps(int64(total), len(chunks)))

@@ -172,8 +172,12 @@ func planAdvanced[E any](c comm.Communicator, pieces [][]E, opt Options) [][]chu
 	}
 	replyIn := coll.Alltoallv1FactorFunc(c, replyOut, func(delegReply) int64 { return 1 })
 
-	// Assemble outboxes: local slots use locally known positions,
-	// delegated sub-pieces use the replied ones.
+	// Assemble outboxes: delegated sub-pieces use the replied positions,
+	// local slots the locally known ones. The sub-pieces go first: a
+	// target belongs to one group, so where a piece's remainder (offset
+	// full·s) lands on the same target as its last sub-piece, it directly
+	// follows that sub-piece in the outbox, and a zero-copy receiver
+	// coalesces the two into one span.
 	out := make([][]chunk[E], p)
 	emit := func(j int, piece []E, off, size, pos int64) {
 		g := gg.size(j)
@@ -183,14 +187,14 @@ func planAdvanced[E any](c comm.Communicator, pieces [][]E, opt Options) [][]chu
 			out[target] = append(out[target], chunk[E]{data: piece[lo : lo+(to-from)]})
 		})
 	}
+	for q, sub := range mySubs {
+		pos := replyIn[subDelegate[q]][subStreamIdx[q]].pos
+		emit(sub.group, pieces[sub.group], sub.off, sub.size, pos)
+	}
 	for i, sl := range slots {
 		if sl.local {
 			emit(sl.group, pieces[sl.group], sl.off, sl.size, slotPos[i])
 		}
-	}
-	for q, sub := range mySubs {
-		pos := replyIn[subDelegate[q]][subStreamIdx[q]].pos
-		emit(sub.group, pieces[sub.group], sub.off, sub.size, pos)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -24,7 +25,10 @@ import (
 // ExtractPrefixes appends data's prefixes to dst and returns it — the
 // sidecar-building pass. Callers recycle dst across levels like the
 // other scratch arenas (pass a zero-length slice of retained capacity).
+// The len(data) slots are reserved up front, so a dst without room
+// grows by one allocation, not by append's repeated ~1.25× steps.
 func ExtractPrefixes[E any](dst []uint64, data []E, prefix func(E) uint64) []uint64 {
+	dst = slices.Grow(dst, len(data))
 	for _, e := range data {
 		dst = append(dst, prefix(e))
 	}
@@ -67,6 +71,18 @@ func (sc *PrefixScratch[E]) Donate(buf []E) {
 	if cap(buf) > cap(sc.elems) {
 		sc.elems = buf[:cap(buf)]
 	}
+}
+
+// Take hands the payload scratch back to the caller and forgets it (nil
+// when there is none). Its contents are dead once SortPrefixed returns,
+// so a caller that lends its spare buffer with Donate takes it back
+// here — together with whatever the pair path allocated when the loan
+// was too small — instead of keeping a second buffer of the same size
+// alive beside it.
+func (sc *PrefixScratch[E]) Take() []E {
+	buf := sc.elems
+	sc.elems = nil
+	return buf
 }
 
 // prefixInsertionCutoff is the size below which SortPrefixed switches

@@ -238,3 +238,52 @@ func TestPrefixScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractPrefixes: the sidecar pass appends after dst's contents and
+// yields exactly what the per-element loop does.
+func TestExtractPrefixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	data := randPV(rng, 5000, 1<<20)
+	head := []uint64{7, 8, 9}
+	got := ExtractPrefixes(append([]uint64(nil), head...), data, coarse)
+	want := append([]uint64(nil), head...)
+	for _, e := range data {
+		want = append(want, coarse(e))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("ExtractPrefixes differs from appending prefix(e) per element after dst's contents")
+	}
+}
+
+// TestPrefixScratchTake: Take hands the pair path's gather buffer to
+// the caller, and the scratch still sorts correctly afterwards — with a
+// buffer lent back through Donate, and with none.
+func TestPrefixScratchTake(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var sc PrefixScratch[pv]
+	sortOnce := func(n int) {
+		t.Helper()
+		data := randPV(rng, n, 64)
+		want := append([]pv(nil), data...)
+		SortStable(want, pvLess)
+		SortPrefixed(data, ExtractPrefixes(nil, data, coarse), pvLess, &sc)
+		if !reflect.DeepEqual(data, want) {
+			t.Fatalf("n=%d: SortPrefixed after Take diverges from SortStable", n)
+		}
+	}
+	sortOnce(1000)
+	buf := sc.Take()
+	if len(buf) < 1000 {
+		t.Fatalf("Take after a pair-path sort of 1000 returned %d elements of scratch", len(buf))
+	}
+	if sc.Take() != nil {
+		t.Fatal("a second Take still returned a buffer")
+	}
+	sortOnce(3000) // no scratch left: the pair path allocates its own
+	sc.Take()
+	sc.Donate(buf)
+	sortOnce(800) // the lent buffer serves as the gather buffer
+	if got := sc.Take(); len(got) == 0 || &got[0] != &buf[0] {
+		t.Fatal("Take did not return the buffer lent through Donate")
+	}
+}
